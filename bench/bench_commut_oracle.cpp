@@ -89,19 +89,8 @@ struct JsonWriter {
 int main(int argc, char **argv) {
   std::string OutPath = argc > 1 ? argv[1] : "BENCH_commut_oracle.json";
 
-  std::vector<workloads::WorkloadInstance> All =
-      workloads::svcompLikeSuite();
-  std::vector<workloads::WorkloadInstance> Weaver =
-      workloads::weaverLikeSuite();
-  All.insert(All.end(), Weaver.begin(), Weaver.end());
-  std::vector<workloads::WorkloadInstance> LoopHeavy =
-      workloads::loopHeavySuite();
-  All.insert(All.end(), LoopHeavy.begin(), LoopHeavy.end());
-  std::vector<workloads::WorkloadInstance> Affine =
-      workloads::affineSuite();
-  All.insert(All.end(), Affine.begin(), Affine.end());
   std::vector<workloads::WorkloadInstance> Suite;
-  for (auto &W : All)
+  for (auto &W : workloads::tier1Suite())
     if (W.Family != "bluetooth")
       Suite.push_back(std::move(W));
 

@@ -99,7 +99,7 @@ std::vector<SuiteFusion> runAllSuites() {
 /// Suite-level fused-vs-unfused DFS state counts; the counters land in the
 /// --benchmark_out JSON so BENCH_fusion.json tracks the reduction over
 /// time. loop_heavy and affine must show a strict reduction (the
-/// --check-fusion acceptance gate re-checks verdict agreement).
+/// fusion axis of seqver --check re-checks verdict agreement).
 void BM_TransactionFusion(benchmark::State &State) {
   std::vector<SuiteFusion> Suites;
   for (auto _ : State) {

@@ -81,17 +81,7 @@ struct JsonWriter {
 int main(int argc, char **argv) {
   std::string OutPath = argc > 1 ? argv[1] : "BENCH_incremental.json";
 
-  std::vector<workloads::WorkloadInstance> Suite =
-      workloads::svcompLikeSuite();
-  std::vector<workloads::WorkloadInstance> Weaver =
-      workloads::weaverLikeSuite();
-  Suite.insert(Suite.end(), Weaver.begin(), Weaver.end());
-  std::vector<workloads::WorkloadInstance> LoopHeavy =
-      workloads::loopHeavySuite();
-  Suite.insert(Suite.end(), LoopHeavy.begin(), LoopHeavy.end());
-  std::vector<workloads::WorkloadInstance> Affine =
-      workloads::affineSuite();
-  Suite.insert(Suite.end(), Affine.begin(), Affine.end());
+  std::vector<workloads::WorkloadInstance> Suite = workloads::tier1Suite();
 
   core::VerifierConfig Base;
   Base.TimeoutSeconds = benchTimeout();

@@ -229,6 +229,13 @@ private:
     return (Config.Cancel && Config.Cancel->stopRequested()) ||
            OwnDeadline.deadlineExpired();
   }
+  /// The verdict of a run that ends without a decision: Cancelled or
+  /// Timeout when a stop was requested, \p Otherwise when it was not.
+  Verdict stoppedVerdict(Verdict Otherwise) const {
+    if (!stopRequested())
+      return Otherwise;
+    return cancelRequested() ? Verdict::Cancelled : Verdict::Timeout;
+  }
 
   const prog::ConcurrentProgram &P;
   VerifierConfig Config;
@@ -514,12 +521,12 @@ VerificationResult Verifier::Impl::run() {
   for (int Round = 1; Round <= Config.MaxRounds; ++Round) {
     Result.Rounds = Round;
     if (stopRequested()) {
-      Result.V = cancelRequested() ? Verdict::Cancelled : Verdict::Timeout;
+      Result.V = stoppedVerdict(Verdict::Timeout);
       break;
     }
     RoundResult RR = checkProofRound();
     if (RR.K == RoundResult::Kind::Aborted) {
-      Result.V = cancelRequested() ? Verdict::Cancelled : Verdict::Timeout;
+      Result.V = stoppedVerdict(Verdict::Timeout);
       break;
     }
     if (RR.K == RoundResult::Kind::ProofValid) {
@@ -535,8 +542,10 @@ VerificationResult Verifier::Impl::run() {
       Result.Witness = RR.Trace;
       break;
     }
+    // A solver query cut short by the race or the deadline comes back
+    // Unknown; report why the run stopped, not that the solver gave up.
     if (Analysis.Status == TraceStatus::Unknown) {
-      Result.V = Verdict::Unknown;
+      Result.V = stoppedVerdict(Verdict::Unknown);
       break;
     }
 
@@ -572,7 +581,7 @@ VerificationResult Verifier::Impl::run() {
       AddChain(Analysis.WpChain);
     if (Proof.numPredicates() == PoolBefore) {
       // No progress: can only happen if a solver Unknown weakened coverage.
-      Result.V = Verdict::Unknown;
+      Result.V = stoppedVerdict(Verdict::Unknown);
       break;
     }
     Proof.invalidateCaches();

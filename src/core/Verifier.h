@@ -104,14 +104,6 @@ struct VerifierConfig {
   bool SeedProof = false;
   /// Cap on seeded predicates (bounds per-step Hoare query growth).
   size_t MaxSeedPredicates = 64;
-  /// Fuse Lipton transactions (analysis/Fusion.h) into the program before
-  /// verification. Like dead-edge pruning this is a *program preparation*
-  /// step honored by the seams that own the program — the CLI, the
-  /// parallel portfolio's workers (via ParallelConfig::FuseTransactions)
-  /// and the benches — not by the Verifier itself, which runs whatever
-  /// program it is handed. Recorded here so one config object can describe
-  /// a full pipeline run.
-  bool FuseTransactions = false;
   /// Directory of the persistent proof cache (docs/PERSIST.md); empty
   /// disables it. On construction the verifier fingerprints the program
   /// and, on a cache hit, warm-starts the proof automaton with the stored
@@ -140,9 +132,9 @@ struct VerifierConfig {
   /// clauses, and warm simplex tableau persist across the query stream
   /// instead of being rebuilt per query. Verdict-neutral by construction
   /// (assumption-based activation never changes satisfiability, and the
-  /// consumers replicate the fresh path's fast paths); the differential
-  /// gate (--check-incremental) enforces this. Disable with
-  /// --no-incremental to get one fresh solver instance per query.
+  /// consumers replicate the fresh path's fast paths); the `incremental`
+  /// axis of the differential gate (docs/CHECKS.md) enforces this. Disable
+  /// with --no-incremental to get one fresh solver instance per query.
   bool IncrementalSmt = true;
   int MaxRounds = 500;
   /// Per-run deadline; mapped onto the cancellation mechanism (the verifier

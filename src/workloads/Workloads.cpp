@@ -397,3 +397,11 @@ std::vector<WorkloadInstance> seqver::workloads::loopHeavySuite() {
   Add("nested_bug_3", nestedLoopSource(3, true), false);
   return Out;
 }
+
+std::vector<WorkloadInstance> seqver::workloads::tier1Suite() {
+  std::vector<WorkloadInstance> Out = svcompLikeSuite();
+  for (const auto &Suite :
+       {weaverLikeSuite(), loopHeavySuite(), affineSuite()})
+    Out.insert(Out.end(), Suite.begin(), Suite.end());
+  return Out;
+}

@@ -82,6 +82,10 @@ std::string stridePairSource(int N, bool WithBug = false);
 /// slowly.
 std::vector<WorkloadInstance> affineSuite();
 
+/// The tier-1 workloads: svcompLikeSuite, weaverLikeSuite, loopHeavySuite
+/// and affineSuite concatenated in that order.
+std::vector<WorkloadInstance> tier1Suite();
+
 } // namespace workloads
 } // namespace seqver
 

@@ -37,20 +37,11 @@ void expectIdenticalDfa(const Dfa &A, const Dfa &B, const std::string &What) {
   }
 }
 
-std::vector<workloads::WorkloadInstance> tier1Workloads() {
-  auto Suite = workloads::svcompLikeSuite();
-  for (const auto &W : workloads::weaverLikeSuite())
-    Suite.push_back(W);
-  for (const auto &W : workloads::loopHeavySuite())
-    Suite.push_back(W);
-  return Suite;
-}
-
 /// buildReduction: hashed vs legacy index over every tier-1 workload, for
 /// both a non-positional (seq) and a positional (lockstep) order, with and
 /// without the persistent-set membrane.
 TEST(HotpathDifferentialTest, ProgramReductionsIdenticalOnTier1) {
-  for (const auto &W : tier1Workloads()) {
+  for (const auto &W : workloads::tier1Suite()) {
     smt::TermManager TM;
     prog::BuildResult B = prog::buildFromSource(W.Source, TM);
     ASSERT_TRUE(B.ok()) << W.Name << ": " << B.Error;

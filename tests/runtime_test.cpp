@@ -254,7 +254,8 @@ TEST(ParallelPortfolioTest, VerdictIsDeterministicAcrossJobCounts) {
   std::vector<workloads::WorkloadInstance> Suite =
       workloads::svcompLikeSuite();
   // A representative slice (correct + incorrect families) keeps the
-  // three-way sweep fast; check_parallel.sh covers the full suites.
+  // three-way sweep fast; the parallel axis of seqver --check
+  // (docs/CHECKS.md) covers the full suites.
   Suite.resize(8);
   auto Weaver = workloads::weaverLikeSuite();
   Suite.push_back(Weaver[0]);
@@ -278,6 +279,26 @@ TEST(ParallelPortfolioTest, VerdictIsDeterministicAcrossJobCounts) {
           << W.Name << " with --jobs=" << Jobs;
       EXPECT_EQ(Par.Jobs, std::min(Jobs, 5u));
     }
+  }
+}
+
+/// Every order of mutex_bug_2 run alone is incorrect, so a loser the race
+/// stops early must report Cancelled (or Timeout), never Unknown.
+TEST(ParallelPortfolioTest, StoppedLosersAreNeverUnknown) {
+  std::string Source;
+  for (const auto &W : workloads::svcompLikeSuite())
+    if (W.Name == "mutex_bug_2")
+      Source = W.Source;
+  ASSERT_FALSE(Source.empty());
+  core::VerifierConfig Base;
+  ParallelConfig PC;
+  PC.Jobs = 4;
+  for (int Race = 0; Race < 20; ++Race) {
+    ParallelPortfolioResult R = runPortfolioParallel(Source, Base, PC);
+    EXPECT_EQ(R.Best.V, core::Verdict::Incorrect) << "race " << Race;
+    for (const core::PortfolioEntry &E : R.Entries)
+      EXPECT_NE(E.Result.V, core::Verdict::Unknown)
+          << "race " << Race << ", order " << E.OrderName;
   }
 }
 

@@ -6,98 +6,48 @@
 ///
 /// Usage:
 ///   seqver [options] <file.conc>
-///   seqver --check-tiers[=quick]
-///   seqver --check-parallel[=quick]
+///   seqver --check=<axis>[,quick]
 ///
 /// Options:
-///   --order=<seq|lockstep|rand(1)|rand(2)|rand(3)|baseline>
-///                         single preference order (default: portfolio)
+///   --order=<seq|lockstep|rand(n+1)|rand(n+2)|rand(n+3)|baseline>
+///                         single preference order (default: portfolio);
+///                         n is the --rand-seed value
 ///   --portfolio=<sequential|parallel>
-///                         sequential emulation (as-if-parallel aggregate,
-///                         default) or the real racing executor
-///   --jobs=<n>            worker threads for --portfolio=parallel
-///                         (default: hardware concurrency)
-///   --rand-seed=<n>       seed base for the rand(k) portfolio orders
-///                         (orders become rand(n+1)..rand(n+3))
+///                         as-if-parallel emulation (default) or the race
+///   --jobs=<n>            race workers (default 0: hardware concurrency)
+///   --rand-seed=<n>       seed base of the rand(k) portfolio orders
 ///   --analyze             print the static race/independence report and
 ///                         exit (1 when potential races are found)
 ///   --analyze=karr        print the Karr affine-equality invariants per
 ///                         thread location and exit
-///   --analyze=movers      print the Lipton mover classification (one line
-///                         per statement, naming the justifying invariant
-///                         source for conditional movers) and the
+///   --analyze=movers      print the Lipton mover classification and the
 ///                         transactions fusion would build, then exit
 ///   --no-sleep            disable sleep set reduction
 ///   --no-persistent       disable persistent set reduction
 ///   --no-proof-sensitive  disable conditional commutativity (Def. 7.3)
 ///   --no-static           disable the solver-free commutativity tier
 ///   --no-octagon          disable the octagon sub-tier and relational
-///                         dead-edge pruning (--octagon re-enables; on by
-///                         default)
-///   --no-karr             disable the Karr affine sub-tier, its proof
-///                         seeding, and affine dead-edge pruning (--karr
-///                         re-enables; on by default)
+///                         dead-edge pruning (--octagon, the default)
+///   --no-karr             disable the Karr sub-tier, its proof seeding and
+///                         affine dead-edge pruning (--karr, the default)
 ///   --seed-proof          seed the proof automaton with octagon and Karr
-///                         invariant atoms before round 1 (--no-seed
-///                         restores the default unseeded refinement)
+///                         invariant atoms (--no-seed, the default)
 ///   --no-prune            keep statically dead CFG edges
-///   --fuse                fuse Lipton transactions (right-mover*·commit·
-///                         left-mover* chains become single atomic edges)
-///                         before verification; --no-fuse restores the
-///                         default unfused program
-///   --check-fusion[=quick]
-///                         verify the workload suites fused and unfused,
-///                         sequentially and with the parallel portfolio;
-///                         fail on any verdict mismatch, report the DFS
-///                         state reduction
-///   --check-tiers[=quick] verify the workload suites across four static
-///                         configurations (full tier stack, no Karr tier,
-///                         full + proof seeding, interval-only); fail if
-///                         any verdict changes
-///   --check-parallel[=quick]
-///                         verify the workload suites with the sequential
-///                         and the parallel portfolio; fail on any verdict
-///                         mismatch, report wall-clock speedup
-///   --cache-dir=<dir>     persistent proof cache directory: warm-start the
-///                         proof automaton from stored predicates (Hoare-
-///                         gated, so a stale cache costs time, never
-///                         soundness) and write decisive results back
+///   --fuse                fuse Lipton transactions before verification
+///                         (docs/ANALYSIS.md §5; --no-fuse, the default)
+///   --check=<axis>[,quick]
+///                         run one axis of the differential arm matrix
+///                         (docs/CHECKS.md); --timeout defaults to 10 here
+///   --cache-dir=<dir>     persistent proof cache directory (docs/PERSIST.md)
 ///   --no-cache            ignore any --cache-dir given earlier
 ///   --cache-stats         print the cache counters after the run
 ///   --commut-cache=<off|shared|persist|conservative>
-///                         shared commutativity oracle
-///                         (reduction/CommutOracle.h) for --order and
-///                         --portfolio=parallel runs. off: private
-///                         per-checker caches only. shared (default): one
-///                         in-memory table for all portfolio workers.
-///                         persist: additionally load/flush settled
-///                         answers beside the proof cache under
-///                         --cache-dir. conservative: like persist but
-///                         reuse persisted negative ("dependent") answers
-///                         only. The sequential portfolio always stays
-///                         private so its as-if-parallel aggregate stays
-///                         comparable.
-///   --check-commut[=quick]
-///                         verify the workload suites with the parallel
-///                         portfolio under three oracle arms (off, shared,
-///                         persisted-warm); fail on any verdict mismatch
-///                         or if sharing does not strictly reduce the
-///                         aggregate semantic solver calls
-///   --check-cache[=quick] verify the workload suites cold then warm
-///                         against one cache directory; fail if any verdict
-///                         changes or if a poisoned cache entry (safe proof
-///                         stored under the buggy program's fingerprint)
-///                         survives the Hoare gate
-///   --no-incremental      discard the SMT solver after every query instead
-///                         of reusing incremental sessions (docs/PERF.md §7;
-///                         --incremental restores the default)
-///   --check-incremental[=quick]
-///                         verify the workload suites with incremental SMT
-///                         sessions and with the fresh-instance path —
-///                         sequentially and with the 2-job parallel
-///                         portfolio — fail on any verdict mismatch, report
-///                         the solver wall-second savings
-///   --timeout=<seconds>   per-analysis timeout (default 60)
+///                         shared commutativity oracle for --order and
+///                         --portfolio=parallel runs (default shared;
+///                         docs/PERF.md §6 and docs/PERSIST.md)
+///   --no-incremental      one fresh SMT solver per query instead of the
+///                         incremental sessions (docs/PERF.md §7)
+///   --timeout=<seconds>   per-analysis timeout (default 60; 0 disables)
 ///   --witness             print the error trace for incorrect programs
 ///   --proof               print the final proof assertions
 ///   --minimize            greedily minimize the proof before reporting
@@ -106,28 +56,29 @@
 ///   --simulate=<n>        before verifying, try n random executions
 ///   --stats               print detailed statistics
 ///
+/// Malformed input (an unknown option, order or axis, or a number that is
+/// not entirely digits in range) prints the usage text and exits 2.
+///
 //===----------------------------------------------------------------------===//
+
+#include "arm_matrix.h"
 
 #include "analysis/Analysis.h"
 #include "analysis/Fusion.h"
 #include "core/Portfolio.h"
 #include "persist/Fingerprint.h"
-#include "persist/ProofCache.h"
 #include "reduction/CommutOracle.h"
 #include "program/CfgBuilder.h"
 #include "program/Interpreter.h"
 #include "runtime/ParallelPortfolio.h"
-#include "support/Timer.h"
-#include "workloads/Workloads.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
-
-#include <unistd.h>
 
 using namespace seqver;
 
@@ -136,11 +87,11 @@ namespace {
 struct CliOptions {
   std::string File;
   std::string Order; // empty = portfolio
-  bool ParallelPortfolio = false;
+  std::string Portfolio = "sequential";
   unsigned Jobs = 0; // 0 = hardware concurrency
   uint64_t RandSeedBase = 0;
-  bool CheckParallel = false;
-  bool CheckParallelQuick = false;
+  std::string Check; // axis of --check; empty = verify File
+  bool CheckQuick = false;
   bool Analyze = false;
   bool NoSleep = false;
   bool NoPersistent = false;
@@ -152,10 +103,6 @@ struct CliOptions {
   bool SeedProof = false;
   bool NoPrune = false;
   bool Fuse = false;
-  bool CheckFusion = false;
-  bool CheckFusionQuick = false;
-  bool CheckTiers = false;
-  bool CheckTiersQuick = false;
   bool PrintWitness = false;
   bool PrintProof = false;
   bool Minimize = false;
@@ -166,163 +113,109 @@ struct CliOptions {
   bool TimeoutSet = false;
   std::string CacheDir;
   bool CacheStats = false;
-  bool CheckCache = false;
-  bool CheckCacheQuick = false;
   std::string CommutCache = "shared";
-  bool CheckCommut = false;
-  bool CheckCommutQuick = false;
   bool Incremental = true;
-  bool CheckIncremental = false;
-  bool CheckIncrementalQuick = false;
 };
 
 void printUsage() {
   std::printf(
       "usage: seqver [options] <file.conc>\n"
-      "       seqver --check-tiers[=quick]\n"
-      "       seqver --check-parallel[=quick]\n"
-      "       seqver --check-cache[=quick]\n"
-      "       seqver --check-fusion[=quick]\n"
-      "       seqver --check-commut[=quick]\n"
-      "       seqver --check-incremental[=quick]\n"
-      "  --order=<seq|lockstep|rand(1)|rand(2)|rand(3)|baseline>\n"
+      "       seqver --check=<tiers|parallel|cache|fusion|commut|"
+      "incremental>[,quick]\n"
+      "  --order=<seq|lockstep|rand(n+1)|rand(n+2)|rand(n+3)|baseline>\n"
       "  --portfolio=<sequential|parallel> --jobs=<n> --rand-seed=<n>\n"
       "  --analyze[=karr|movers] --no-sleep --no-persistent\n"
-      "  --no-proof-sensitive\n"
-      "  --no-static --no-octagon --no-karr --seed-proof --no-seed\n"
-      "  --no-prune --fuse --no-fuse\n"
+      "  --no-proof-sensitive --no-static --no-octagon --no-karr\n"
+      "  --seed-proof --no-seed --no-prune --fuse --no-fuse\n"
       "  --cache-dir=<dir> --no-cache --cache-stats\n"
       "  --commut-cache=<off|shared|persist|conservative>\n"
-      "  --no-incremental --incremental\n"
-      "  --minimize\n"
-      "  --source=<wp|interp|both>\n"
+      "  --no-incremental --incremental --minimize\n"
+      "  --source=<wp|interp|both> --simulate=<n>\n"
       "  --timeout=<seconds> --witness --proof --stats\n");
 }
 
+/// Parses all of Text as a number of Out's type: no sign an unsigned type
+/// cannot hold, no trailing characters, in range, finite.
+template <typename T> bool parseNumber(const std::string &Text, T &Out) {
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Err] = std::from_chars(Text.data(), End, Out);
+  if constexpr (std::is_floating_point_v<T>)
+    if (!std::isfinite(Out) || Out < 0)
+      return false;
+  return Err == std::errc() && Ptr == End;
+}
+
 bool parseArgs(int argc, char **argv, CliOptions &Opts) {
+  // Switches set one field to a fixed value; choices take one of a fixed
+  // list of values.
+  const std::pair<std::string, std::pair<bool *, bool>> Switches[] = {
+      {"--analyze", {&Opts.Analyze, true}},
+      {"--no-sleep", {&Opts.NoSleep, true}},
+      {"--no-persistent", {&Opts.NoPersistent, true}},
+      {"--no-proof-sensitive", {&Opts.NoProofSensitive, true}},
+      {"--no-static", {&Opts.NoStatic, true}},
+      {"--no-octagon", {&Opts.NoOctagon, true}},
+      {"--octagon", {&Opts.NoOctagon, false}},
+      {"--no-karr", {&Opts.NoKarr, true}},
+      {"--karr", {&Opts.NoKarr, false}},
+      {"--seed-proof", {&Opts.SeedProof, true}},
+      {"--no-seed", {&Opts.SeedProof, false}},
+      {"--no-prune", {&Opts.NoPrune, true}},
+      {"--fuse", {&Opts.Fuse, true}},
+      {"--no-fuse", {&Opts.Fuse, false}},
+      {"--cache-stats", {&Opts.CacheStats, true}},
+      {"--incremental", {&Opts.Incremental, true}},
+      {"--no-incremental", {&Opts.Incremental, false}},
+      {"--witness", {&Opts.PrintWitness, true}},
+      {"--proof", {&Opts.PrintProof, true}},
+      {"--minimize", {&Opts.Minimize, true}},
+      {"--stats", {&Opts.PrintStats, true}}};
+  const std::pair<std::string,
+                  std::pair<std::string *, std::vector<std::string>>>
+      Choices[] = {
+          {"--portfolio", {&Opts.Portfolio, {"sequential", "parallel"}}},
+          {"--analyze", {&Opts.AnalyzeFocus, {"karr", "movers"}}},
+          {"--commut-cache",
+           {&Opts.CommutCache, {"off", "shared", "persist", "conservative"}}},
+          {"--source", {&Opts.Source, {"wp", "interp", "both"}}}};
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
-    if (Arg.rfind("--order=", 0) == 0) {
-      Opts.Order = Arg.substr(8);
-    } else if (Arg.rfind("--portfolio=", 0) == 0) {
-      std::string Mode = Arg.substr(12);
-      if (Mode == "parallel") {
-        Opts.ParallelPortfolio = true;
-      } else if (Mode == "sequential") {
-        Opts.ParallelPortfolio = false;
-      } else {
-        std::fprintf(stderr, "unknown portfolio mode '%s'\n", Mode.c_str());
-        return false;
-      }
-    } else if (Arg.rfind("--jobs=", 0) == 0) {
-      Opts.Jobs = static_cast<unsigned>(std::atoi(Arg.c_str() + 7));
-    } else if (Arg.rfind("--rand-seed=", 0) == 0) {
-      Opts.RandSeedBase =
-          static_cast<uint64_t>(std::atoll(Arg.c_str() + 12));
-    } else if (Arg == "--check-parallel") {
-      Opts.CheckParallel = true;
-    } else if (Arg == "--check-parallel=quick") {
-      Opts.CheckParallel = true;
-      Opts.CheckParallelQuick = true;
-    } else if (Arg == "--analyze") {
-      Opts.Analyze = true;
-    } else if (Arg == "--analyze=karr") {
-      Opts.Analyze = true;
-      Opts.AnalyzeFocus = "karr";
-    } else if (Arg == "--analyze=movers") {
-      Opts.Analyze = true;
-      Opts.AnalyzeFocus = "movers";
-    } else if (Arg == "--no-sleep") {
-      Opts.NoSleep = true;
-    } else if (Arg == "--no-persistent") {
-      Opts.NoPersistent = true;
-    } else if (Arg == "--no-proof-sensitive") {
-      Opts.NoProofSensitive = true;
-    } else if (Arg == "--no-static") {
-      Opts.NoStatic = true;
-    } else if (Arg == "--no-octagon") {
-      Opts.NoOctagon = true;
-    } else if (Arg == "--octagon") {
-      Opts.NoOctagon = false;
-    } else if (Arg == "--no-karr") {
-      Opts.NoKarr = true;
-    } else if (Arg == "--karr") {
-      Opts.NoKarr = false;
-    } else if (Arg == "--seed-proof") {
-      Opts.SeedProof = true;
-    } else if (Arg == "--no-seed") {
-      Opts.SeedProof = false;
-    } else if (Arg == "--no-prune") {
-      Opts.NoPrune = true;
-    } else if (Arg == "--fuse") {
-      Opts.Fuse = true;
-    } else if (Arg == "--no-fuse") {
-      Opts.Fuse = false;
-    } else if (Arg == "--check-fusion") {
-      Opts.CheckFusion = true;
-    } else if (Arg == "--check-fusion=quick") {
-      Opts.CheckFusion = true;
-      Opts.CheckFusionQuick = true;
-    } else if (Arg == "--check-tiers") {
-      Opts.CheckTiers = true;
-    } else if (Arg == "--check-tiers=quick") {
-      Opts.CheckTiers = true;
-      Opts.CheckTiersQuick = true;
-    } else if (Arg.rfind("--cache-dir=", 0) == 0) {
-      Opts.CacheDir = Arg.substr(12);
+    size_t Eq = Arg.find('=');
+    std::string Key = Arg.substr(0, Eq);
+    std::string Value = Eq == std::string::npos ? "" : Arg.substr(Eq + 1);
+    auto Switch = std::find_if(std::begin(Switches), std::end(Switches),
+                               [&Arg](const auto &S) { return S.first == Arg; });
+    auto Choice = std::find_if(
+        std::begin(Choices), std::end(Choices), [&](const auto &C) {
+          return C.first == Key && Eq != std::string::npos;
+        });
+    bool Ok = true;
+    if (Switch != std::end(Switches)) {
+      *Switch->second.first = Switch->second.second;
+    } else if (Choice != std::end(Choices)) {
+      const std::vector<std::string> &Allowed = Choice->second.second;
+      Ok = std::find(Allowed.begin(), Allowed.end(), Value) != Allowed.end();
+      *Choice->second.first = Value;
+    } else if (Key == "--order" && Eq != std::string::npos) {
+      Opts.Order = Value;
+    } else if (Key == "--cache-dir" && Eq != std::string::npos) {
+      Opts.CacheDir = Value;
     } else if (Arg == "--no-cache") {
       Opts.CacheDir.clear();
-    } else if (Arg == "--cache-stats") {
-      Opts.CacheStats = true;
-    } else if (Arg == "--check-cache") {
-      Opts.CheckCache = true;
-    } else if (Arg == "--check-cache=quick") {
-      Opts.CheckCache = true;
-      Opts.CheckCacheQuick = true;
-    } else if (Arg.rfind("--commut-cache=", 0) == 0) {
-      Opts.CommutCache = Arg.substr(15);
-      if (Opts.CommutCache != "off" && Opts.CommutCache != "shared" &&
-          Opts.CommutCache != "persist" &&
-          Opts.CommutCache != "conservative") {
-        std::fprintf(stderr, "unknown commut-cache mode '%s'\n",
-                     Opts.CommutCache.c_str());
-        return false;
-      }
-    } else if (Arg == "--check-commut") {
-      Opts.CheckCommut = true;
-    } else if (Arg == "--check-commut=quick") {
-      Opts.CheckCommut = true;
-      Opts.CheckCommutQuick = true;
-    } else if (Arg == "--no-incremental") {
-      Opts.Incremental = false;
-    } else if (Arg == "--incremental") {
-      Opts.Incremental = true;
-    } else if (Arg == "--check-incremental") {
-      Opts.CheckIncremental = true;
-    } else if (Arg == "--check-incremental=quick") {
-      Opts.CheckIncremental = true;
-      Opts.CheckIncrementalQuick = true;
-    } else if (Arg == "--witness") {
-      Opts.PrintWitness = true;
-    } else if (Arg == "--proof") {
-      Opts.PrintProof = true;
-    } else if (Arg == "--minimize") {
-      Opts.Minimize = true;
-    } else if (Arg.rfind("--source=", 0) == 0) {
-      Opts.Source = Arg.substr(9);
-      if (Opts.Source != "wp" && Opts.Source != "interp" &&
-          Opts.Source != "both") {
-        std::fprintf(stderr, "unknown predicate source '%s'\n",
-                     Opts.Source.c_str());
-        return false;
-      }
-    } else if (Arg == "--stats") {
-      Opts.PrintStats = true;
-    } else if (Arg.rfind("--simulate=", 0) == 0) {
-      Opts.Simulate = static_cast<uint64_t>(std::atoll(Arg.c_str() + 11));
-    } else if (Arg.rfind("--timeout=", 0) == 0) {
-      Opts.Timeout = std::atof(Arg.c_str() + 10);
-      Opts.TimeoutSet = true;
+    } else if (Key == "--jobs") {
+      Ok = parseNumber(Value, Opts.Jobs);
+    } else if (Key == "--rand-seed") {
+      Ok = parseNumber(Value, Opts.RandSeedBase);
+    } else if (Key == "--simulate") {
+      Ok = parseNumber(Value, Opts.Simulate);
+    } else if (Key == "--timeout") {
+      Ok = Opts.TimeoutSet = parseNumber(Value, Opts.Timeout);
+    } else if (Key == "--check") {
+      size_t Comma = Value.find(',');
+      Opts.Check = Value.substr(0, Comma);
+      Opts.CheckQuick = Comma != std::string::npos;
+      Ok = check::isAxis(Opts.Check) &&
+           (!Opts.CheckQuick || Value.substr(Comma + 1) == "quick");
     } else if (Arg == "--help" || Arg == "-h") {
       return false;
     } else if (!Arg.empty() && Arg[0] == '-') {
@@ -334,10 +227,24 @@ bool parseArgs(int argc, char **argv, CliOptions &Opts) {
       std::fprintf(stderr, "multiple input files\n");
       return false;
     }
+    if (!Ok) {
+      std::fprintf(stderr, "invalid value in '%s'\n", Arg.c_str());
+      return false;
+    }
   }
-  return Opts.CheckTiers || Opts.CheckParallel || Opts.CheckCache ||
-         Opts.CheckFusion || Opts.CheckCommut || Opts.CheckIncremental ||
-         !Opts.File.empty();
+  Opts.Analyze = Opts.Analyze || !Opts.AnalyzeFocus.empty();
+  return !Opts.Check.empty() || !Opts.File.empty();
+}
+
+/// True iff --order names "baseline" or an order of P's portfolio.
+bool knownOrder(const prog::ConcurrentProgram &P, const CliOptions &Opts) {
+  if (Opts.Order == "baseline")
+    return true;
+  for (const auto &Order : red::makePortfolioOrders(
+           P, core::VerifierConfig().RandOrders, Opts.RandSeedBase))
+    if (Order->name() == Opts.Order)
+      return true;
+  return false;
 }
 
 /// Prints the proof-cache counters of Stats on one line.
@@ -375,711 +282,6 @@ void report(const core::VerificationResult &R,
     std::printf("stats: %s\n", R.Stats.str().c_str());
 }
 
-/// Runs every workload under four static configurations and reports verdict
-/// agreement and per-tier savings. The arms:
-///   full:     interval + octagon + karr commutativity tiers (the default)
-///   no-karr:  interval + octagon tiers only — isolates the Karr sub-tier
-///   seeded:   full stack plus octagon+Karr proof seeding (--seed-proof)
-///   int-only: interval tier only, unseeded — the rounds baseline for seeded
-/// All four are sound, so any verdict disagreement is a bug. Returns the
-/// process exit code.
-int runCheckTiers(const CliOptions &Opts) {
-  std::vector<workloads::WorkloadInstance> Suite =
-      workloads::svcompLikeSuite();
-  std::vector<workloads::WorkloadInstance> Weaver =
-      workloads::weaverLikeSuite();
-  Suite.insert(Suite.end(), Weaver.begin(), Weaver.end());
-  std::vector<workloads::WorkloadInstance> LoopHeavy =
-      workloads::loopHeavySuite();
-  Suite.insert(Suite.end(), LoopHeavy.begin(), LoopHeavy.end());
-  std::vector<workloads::WorkloadInstance> Affine =
-      workloads::affineSuite();
-  Suite.insert(Suite.end(), Affine.begin(), Affine.end());
-  if (Opts.CheckTiersQuick) {
-    // Every third workload still covers each family.
-    std::vector<workloads::WorkloadInstance> Sample;
-    for (size_t I = 0; I < Suite.size(); I += 3)
-      Sample.push_back(Suite[I]);
-    Suite = std::move(Sample);
-  }
-
-  double Timeout = Opts.TimeoutSet ? Opts.Timeout : 10;
-  int Mismatches = 0;
-  int64_t OctagonSettled = 0, KarrSettled = 0, KarrSeeds = 0;
-  int64_t SemFull = 0, SemNoKarr = 0;
-  int64_t RoundsSeeded = 0, RoundsBaseline = 0;
-
-  std::printf("%-22s %-9s %-9s %-9s %-9s %5s %7s %7s %4s %4s\n", "workload",
-              "full", "no-karr", "seeded", "int-only", "karr", "sem-f",
-              "sem-nk", "rd-s", "rd-b");
-  for (const auto &W : Suite) {
-    smt::TermManager TM;
-    prog::BuildResult Build = prog::buildFromSource(W.Source, TM);
-    if (!Build.ok()) {
-      std::fprintf(stderr, "%s: %s\n", W.Name.c_str(), Build.Error.c_str());
-      return 2;
-    }
-    core::VerifierConfig Config;
-    Config.TimeoutSeconds = Timeout;
-
-    // Arm 1: the full static stack (interval + octagon + karr tiers).
-    core::VerificationResult Full =
-        core::runSingleOrder(*Build.Program, Config, "seq");
-    // Arm 2: Karr tier off — anything it settled falls through to the
-    // octagon tier or the SMT solver.
-    Config.KarrTier = false;
-    core::VerificationResult NoKarr =
-        core::runSingleOrder(*Build.Program, Config, "seq");
-    // Arm 3: full stack plus proof seeding (octagon + Karr atoms).
-    Config.KarrTier = true;
-    Config.SeedProof = true;
-    core::VerificationResult Seeded =
-        core::runSingleOrder(*Build.Program, Config, "seq");
-    // Arm 4: interval tier only, unseeded — the rounds baseline for arm 3.
-    Config.SeedProof = false;
-    Config.OctagonTier = false;
-    Config.KarrTier = false;
-    core::VerificationResult IntOnly =
-        core::runSingleOrder(*Build.Program, Config, "seq");
-
-    bool Agree = Full.V == NoKarr.V && Full.V == Seeded.V &&
-                 Full.V == IntOnly.V;
-    if (!Agree)
-      ++Mismatches;
-    OctagonSettled += Full.Stats.get("commut_octagon");
-    KarrSettled += Full.Stats.get("commut_karr");
-    KarrSeeds += Seeded.Stats.get("karr_seeded");
-    SemFull += Full.Stats.get("semantic_commut_checks");
-    SemNoKarr += NoKarr.Stats.get("semantic_commut_checks");
-    RoundsSeeded += Seeded.Rounds;
-    RoundsBaseline += IntOnly.Rounds;
-    std::printf("%-22s %-9s %-9s %-9s %-9s %5lld %7lld %7lld %4d %4d%s\n",
-                W.Name.c_str(), core::verdictName(Full.V).c_str(),
-                core::verdictName(NoKarr.V).c_str(),
-                core::verdictName(Seeded.V).c_str(),
-                core::verdictName(IntOnly.V).c_str(),
-                static_cast<long long>(Full.Stats.get("commut_karr")),
-                static_cast<long long>(
-                    Full.Stats.get("semantic_commut_checks")),
-                static_cast<long long>(
-                    NoKarr.Stats.get("semantic_commut_checks")),
-                Seeded.Rounds, IntOnly.Rounds,
-                Agree ? "" : "  << VERDICT MISMATCH");
-  }
-
-  std::printf("\ninvariant-tier settled queries: %lld octagon, %lld karr\n",
-              static_cast<long long>(OctagonSettled),
-              static_cast<long long>(KarrSettled));
-  std::printf("semantic checks: %lld full stack, %lld without karr",
-              static_cast<long long>(SemFull),
-              static_cast<long long>(SemNoKarr));
-  if (SemNoKarr > 0)
-    std::printf(" (%.1f%% saved)",
-                100.0 * static_cast<double>(SemNoKarr - SemFull) /
-                    static_cast<double>(SemNoKarr));
-  std::printf("\nrefinement rounds: %lld seeded (%lld karr-seeded "
-              "predicates), %lld interval-only baseline\n",
-              static_cast<long long>(RoundsSeeded),
-              static_cast<long long>(KarrSeeds),
-              static_cast<long long>(RoundsBaseline));
-  if (Mismatches > 0) {
-    std::fprintf(stderr, "error: %d verdict mismatch(es)\n", Mismatches);
-    return 1;
-  }
-  std::printf("all verdicts agree\n");
-  return 0;
-}
-
-/// Runs every workload under the sequential and the parallel portfolio and
-/// compares verdicts (they must be identical — all orders are sound); also
-/// reports the real wall-clock win of the race over the sequential
-/// sum-of-orders. Returns the process exit code.
-int runCheckParallel(const CliOptions &Opts) {
-  std::vector<workloads::WorkloadInstance> Suite =
-      workloads::svcompLikeSuite();
-  std::vector<workloads::WorkloadInstance> Weaver =
-      workloads::weaverLikeSuite();
-  Suite.insert(Suite.end(), Weaver.begin(), Weaver.end());
-  if (Opts.CheckParallelQuick) {
-    std::vector<workloads::WorkloadInstance> Sample;
-    for (size_t I = 0; I < Suite.size(); I += 3)
-      Sample.push_back(Suite[I]);
-    Suite = std::move(Sample);
-  }
-
-  core::VerifierConfig Base;
-  Base.TimeoutSeconds = Opts.TimeoutSet ? Opts.Timeout : 10;
-  Base.RandSeedBase = Opts.RandSeedBase;
-  runtime::ParallelConfig PC;
-  PC.Jobs = Opts.Jobs;
-
-  int Mismatches = 0;
-  double SeqSum = 0, ParWall = 0;
-  std::printf("%-22s %-10s %-10s %9s %9s\n", "workload", "sequential",
-              "parallel", "seq-sum", "par-wall");
-  for (const auto &W : Suite) {
-    smt::TermManager TM;
-    prog::BuildResult Build = prog::buildFromSource(W.Source, TM);
-    if (!Build.ok()) {
-      std::fprintf(stderr, "%s: %s\n", W.Name.c_str(), Build.Error.c_str());
-      return 2;
-    }
-    Timer SeqTimer;
-    core::PortfolioResult Seq = core::runPortfolio(*Build.Program, Base);
-    double SeqSeconds = SeqTimer.seconds();
-    runtime::ParallelPortfolioResult Par =
-        runtime::runPortfolioParallel(W.Source, Base, PC);
-
-    bool Agree = Seq.Best.V == Par.Best.V;
-    if (!Agree)
-      ++Mismatches;
-    SeqSum += SeqSeconds;
-    ParWall += Par.WallSeconds;
-    std::printf("%-22s %-10s %-10s %8.2fs %8.2fs%s\n", W.Name.c_str(),
-                core::verdictName(Seq.Best.V).c_str(),
-                core::verdictName(Par.Best.V).c_str(), SeqSeconds,
-                Par.WallSeconds, Agree ? "" : "  << VERDICT MISMATCH");
-  }
-
-  std::printf("\nsequential sum-of-orders: %.2fs, parallel wall-clock: "
-              "%.2fs",
-              SeqSum, ParWall);
-  if (ParWall > 0)
-    std::printf(" (%.2fx speedup)", SeqSum / ParWall);
-  std::printf("\n");
-  if (Mismatches > 0) {
-    std::fprintf(stderr, "error: %d verdict mismatch(es)\n", Mismatches);
-    return 1;
-  }
-  std::printf("all verdicts agree\n");
-  return 0;
-}
-
-/// Cold/warm differential gate for the persistent proof cache
-/// (docs/PERSIST.md): every workload is verified twice against one shared
-/// cache directory — the first run populates it, the second warm-starts
-/// from it — and the verdicts must agree. Then a poisoned-cache case: the
-/// safe loop_sum proof is stored under the *buggy* variant's fingerprint
-/// with verdict "correct"; the warm run must still come out incorrect,
-/// because cached predicates only enter the proof automaton through
-/// SMT-checked Hoare triples. Returns the process exit code.
-int runCheckCache(const CliOptions &Opts) {
-  std::vector<workloads::WorkloadInstance> Suite =
-      workloads::svcompLikeSuite();
-  std::vector<workloads::WorkloadInstance> Weaver =
-      workloads::weaverLikeSuite();
-  Suite.insert(Suite.end(), Weaver.begin(), Weaver.end());
-  std::vector<workloads::WorkloadInstance> LoopHeavy =
-      workloads::loopHeavySuite();
-  Suite.insert(Suite.end(), LoopHeavy.begin(), LoopHeavy.end());
-  std::vector<workloads::WorkloadInstance> Affine =
-      workloads::affineSuite();
-  Suite.insert(Suite.end(), Affine.begin(), Affine.end());
-  if (Opts.CheckCacheQuick) {
-    std::vector<workloads::WorkloadInstance> Sample;
-    for (size_t I = 0; I < Suite.size(); I += 3)
-      Sample.push_back(Suite[I]);
-    Suite = std::move(Sample);
-  }
-
-  // The gate must start cold: wipe the directory (a user-provided
-  // --cache-dir included — this is a self-test, not a service cache).
-  bool OwnDir = Opts.CacheDir.empty();
-  std::string CacheDir =
-      OwnDir ? (std::filesystem::temp_directory_path() /
-                ("seqver-check-cache-" + std::to_string(getpid())))
-                   .string()
-             : Opts.CacheDir;
-  std::error_code EC;
-  std::filesystem::remove_all(CacheDir, EC);
-
-  double Timeout = Opts.TimeoutSet ? Opts.Timeout : 10;
-  int Mismatches = 0, StrictlyFewer = 0;
-  int64_t Hits = 0, Misses = 0, SeededPreds = 0, RoundsSaved = 0;
-
-  std::printf("%-22s %-10s %-10s %5s %5s %6s\n", "workload", "cold", "warm",
-              "rd-c", "rd-w", "seeded");
-  for (const auto &W : Suite) {
-    smt::TermManager TM;
-    prog::BuildResult Build = prog::buildFromSource(W.Source, TM);
-    if (!Build.ok()) {
-      std::fprintf(stderr, "%s: %s\n", W.Name.c_str(), Build.Error.c_str());
-      return 2;
-    }
-    core::VerifierConfig Config;
-    Config.TimeoutSeconds = Timeout;
-    Config.CacheDir = CacheDir;
-    core::VerificationResult Cold =
-        core::runSingleOrder(*Build.Program, Config, "seq");
-    core::VerificationResult Warm =
-        core::runSingleOrder(*Build.Program, Config, "seq");
-
-    bool Agree = Cold.V == Warm.V;
-    if (!Agree)
-      ++Mismatches;
-    if (Warm.V == core::Verdict::Correct && Warm.Rounds < Cold.Rounds)
-      ++StrictlyFewer;
-    Misses += Cold.Stats.get("cache_misses");
-    Hits += Warm.Stats.get("cache_hits");
-    SeededPreds += Warm.Stats.get("cache_seeded");
-    RoundsSaved += Warm.Stats.get("rounds_saved_warm");
-    std::printf("%-22s %-10s %-10s %5d %5d %6lld%s\n", W.Name.c_str(),
-                core::verdictName(Cold.V).c_str(),
-                core::verdictName(Warm.V).c_str(), Cold.Rounds, Warm.Rounds,
-                static_cast<long long>(Warm.Stats.get("cache_seeded")),
-                Agree ? "" : "  << VERDICT MISMATCH");
-  }
-
-  // Poisoned-cache arm: a "correct" record faked onto the buggy program.
-  bool PoisonOk = false;
-  {
-    smt::TermManager SafeTM, BugTM;
-    prog::BuildResult Safe =
-        prog::buildFromSource(workloads::loopSumSource(4), SafeTM);
-    prog::BuildResult Bug =
-        prog::buildFromSource(workloads::loopSumSource(4, true), BugTM);
-    if (!Safe.ok() || !Bug.ok()) {
-      std::fprintf(stderr, "poisoned-cache arm: build failed\n");
-      return 2;
-    }
-    core::VerifierConfig Config;
-    Config.TimeoutSeconds = Timeout;
-    Config.CacheDir = CacheDir;
-    core::runSingleOrder(*Safe.Program, Config, "seq"); // stores the proof
-    persist::ProofCache Cache(CacheDir);
-    persist::StoredProof SafeProof;
-    if (!Cache.load(persist::fingerprintProgram(*Safe.Program), SafeProof)) {
-      std::fprintf(stderr, "poisoned-cache arm: no stored safe proof\n");
-      return 2;
-    }
-    Cache.store(persist::fingerprintProgram(*Bug.Program), SafeProof);
-    core::VerificationResult Poisoned =
-        core::runSingleOrder(*Bug.Program, Config, "seq");
-    PoisonOk = Poisoned.V == core::Verdict::Incorrect &&
-               Poisoned.Stats.get("cache_hits") >= 1;
-    std::printf("%-22s %-10s %-10s %5s %5d %6lld%s\n", "loop_sum/poisoned",
-                "correct*", core::verdictName(Poisoned.V).c_str(), "-",
-                Poisoned.Rounds,
-                static_cast<long long>(Poisoned.Stats.get("cache_seeded")),
-                PoisonOk ? "" : "  << POISON NOT REJECTED");
-  }
-
-  std::printf("\ncache: %lld miss(es) cold, %lld hit(s) warm, %lld seeded "
-              "predicate(s), %lld refinement round(s) saved (%d workload(s) "
-              "strictly fewer rounds warm)\n",
-              static_cast<long long>(Misses), static_cast<long long>(Hits),
-              static_cast<long long>(SeededPreds),
-              static_cast<long long>(RoundsSaved), StrictlyFewer);
-  if (OwnDir)
-    std::filesystem::remove_all(CacheDir, EC);
-  if (Mismatches > 0) {
-    std::fprintf(stderr, "error: %d verdict mismatch(es)\n", Mismatches);
-    return 1;
-  }
-  if (!PoisonOk) {
-    std::fprintf(stderr,
-                 "error: poisoned cache entry was not rejected soundly\n");
-    return 1;
-  }
-  if (Hits == 0) {
-    std::fprintf(stderr, "error: warm runs never hit the cache\n");
-    return 1;
-  }
-  std::printf("all verdicts agree; poisoned entry rejected\n");
-  return 0;
-}
-
-/// Fused-vs-unfused differential gate: every workload is verified with and
-/// without transaction fusion — sequentially (single seq order, pruned
-/// program) and with the parallel portfolio racing on the fused program —
-/// and all three verdicts must agree. Fusion is sound by construction
-/// (analysis/Fusion.h), so any disagreement is a bug. Also reports the DFS
-/// state reduction fusion buys. Returns the process exit code.
-int runCheckFusion(const CliOptions &Opts) {
-  std::vector<workloads::WorkloadInstance> Suite =
-      workloads::svcompLikeSuite();
-  std::vector<workloads::WorkloadInstance> Weaver =
-      workloads::weaverLikeSuite();
-  Suite.insert(Suite.end(), Weaver.begin(), Weaver.end());
-  std::vector<workloads::WorkloadInstance> LoopHeavy =
-      workloads::loopHeavySuite();
-  Suite.insert(Suite.end(), LoopHeavy.begin(), LoopHeavy.end());
-  std::vector<workloads::WorkloadInstance> Affine =
-      workloads::affineSuite();
-  Suite.insert(Suite.end(), Affine.begin(), Affine.end());
-  if (Opts.CheckFusionQuick) {
-    std::vector<workloads::WorkloadInstance> Sample;
-    for (size_t I = 0; I < Suite.size(); I += 3)
-      Sample.push_back(Suite[I]);
-    Suite = std::move(Sample);
-  }
-
-  double Timeout = Opts.TimeoutSet ? Opts.Timeout : 10;
-  int Mismatches = 0;
-  int64_t VisitedUnfused = 0, VisitedFused = 0;
-  int64_t FusedEdges = 0, Transactions = 0;
-
-  std::printf("%-22s %-10s %-10s %-10s %8s %8s %5s\n", "workload",
-              "unfused", "fused", "par-fused", "vis-u", "vis-f", "txn");
-  for (const auto &W : Suite) {
-    core::VerifierConfig Config;
-    Config.TimeoutSeconds = Timeout;
-    Config.RandSeedBase = Opts.RandSeedBase;
-
-    // Arm 1: pruned, unfused, sequential seq order.
-    smt::TermManager PlainTM;
-    prog::BuildResult Plain = prog::buildFromSource(W.Source, PlainTM);
-    if (!Plain.ok()) {
-      std::fprintf(stderr, "%s: %s\n", W.Name.c_str(), Plain.Error.c_str());
-      return 2;
-    }
-    analysis::pruneDeadEdges(*Plain.Program);
-    core::VerificationResult Unfused =
-        core::runSingleOrder(*Plain.Program, Config, "seq");
-
-    // Arm 2: pruned, fused, sequential seq order.
-    smt::TermManager FusedTM;
-    prog::BuildResult FusedBuild = prog::buildFromSource(W.Source, FusedTM);
-    if (!FusedBuild.ok()) {
-      std::fprintf(stderr, "%s: %s\n", W.Name.c_str(),
-                   FusedBuild.Error.c_str());
-      return 2;
-    }
-    analysis::pruneDeadEdges(*FusedBuild.Program);
-    analysis::FusionStats FS =
-        analysis::fuseTransactions(*FusedBuild.Program);
-    core::VerificationResult Fused =
-        core::runSingleOrder(*FusedBuild.Program, Config, "seq");
-
-    // Arm 3: the parallel portfolio racing on the fused program (workers
-    // rebuild from source and replicate prune + fuse).
-    runtime::ParallelConfig PC;
-    PC.Jobs = Opts.Jobs;
-    PC.PruneDeadEdges = true;
-    PC.OctagonPrune = true;
-    PC.KarrPrune = true;
-    PC.FuseTransactions = true;
-    runtime::ParallelPortfolioResult Par =
-        runtime::runPortfolioParallel(W.Source, Config, PC);
-
-    bool Agree = Unfused.V == Fused.V && Unfused.V == Par.Best.V;
-    if (!Agree)
-      ++Mismatches;
-    VisitedUnfused += Unfused.Stats.get("visited_total");
-    VisitedFused += Fused.Stats.get("visited_total");
-    FusedEdges += static_cast<int64_t>(FS.FusedEdges);
-    Transactions += static_cast<int64_t>(FS.Transactions);
-    std::printf("%-22s %-10s %-10s %-10s %8lld %8lld %5lld%s\n",
-                W.Name.c_str(), core::verdictName(Unfused.V).c_str(),
-                core::verdictName(Fused.V).c_str(),
-                core::verdictName(Par.Best.V).c_str(),
-                static_cast<long long>(Unfused.Stats.get("visited_total")),
-                static_cast<long long>(Fused.Stats.get("visited_total")),
-                static_cast<long long>(FS.Transactions),
-                Agree ? "" : "  << VERDICT MISMATCH");
-  }
-
-  std::printf("\nfusion: %lld edge(s) into %lld transaction(s); DFS states "
-              "%lld unfused vs %lld fused",
-              static_cast<long long>(FusedEdges),
-              static_cast<long long>(Transactions),
-              static_cast<long long>(VisitedUnfused),
-              static_cast<long long>(VisitedFused));
-  if (VisitedUnfused > 0 && VisitedFused < VisitedUnfused)
-    std::printf(" (%.1f%% fewer)",
-                100.0 * static_cast<double>(VisitedUnfused - VisitedFused) /
-                    static_cast<double>(VisitedUnfused));
-  std::printf("\n");
-  if (Mismatches > 0) {
-    std::fprintf(stderr, "error: %d verdict mismatch(es)\n", Mismatches);
-    return 1;
-  }
-  std::printf("all verdicts agree\n");
-  return 0;
-}
-
-/// Differential gate for the shared commutativity oracle: every workload
-/// is verified with the parallel portfolio under three arms — oracle off
-/// (private per-checker caches), one shared in-memory table, and
-/// persisted-warm (a cold run flushes the table to disk, a fresh table
-/// reloads it) — and all verdicts must agree. Sharing only short-circuits
-/// already-proven answers, so any disagreement is a bug. Also enforces the
-/// optimisation's reason to exist: the aggregate semantic solver calls of
-/// the shared arm must be strictly below the off arm's. Returns the
-/// process exit code.
-int runCheckCommut(const CliOptions &Opts) {
-  std::vector<workloads::WorkloadInstance> Suite =
-      workloads::svcompLikeSuite();
-  std::vector<workloads::WorkloadInstance> Weaver =
-      workloads::weaverLikeSuite();
-  Suite.insert(Suite.end(), Weaver.begin(), Weaver.end());
-  std::vector<workloads::WorkloadInstance> LoopHeavy =
-      workloads::loopHeavySuite();
-  Suite.insert(Suite.end(), LoopHeavy.begin(), LoopHeavy.end());
-  std::vector<workloads::WorkloadInstance> Affine =
-      workloads::affineSuite();
-  Suite.insert(Suite.end(), Affine.begin(), Affine.end());
-  if (Opts.CheckCommutQuick) {
-    std::vector<workloads::WorkloadInstance> Sample;
-    for (size_t I = 0; I < Suite.size(); I += 3)
-      Sample.push_back(Suite[I]);
-    Suite = std::move(Sample);
-  }
-
-  // Scratch directory for the persisted arms (a user --cache-dir is also
-  // acceptable — this writes .commut records only).
-  bool OwnDir = Opts.CacheDir.empty();
-  std::string CacheDir =
-      OwnDir ? (std::filesystem::temp_directory_path() /
-                ("seqver-check-commut-" + std::to_string(getpid())))
-                   .string()
-             : Opts.CacheDir;
-  std::error_code EC;
-  if (OwnDir)
-    std::filesystem::remove_all(CacheDir, EC);
-
-  core::VerifierConfig Base;
-  Base.TimeoutSeconds = Opts.TimeoutSet ? Opts.Timeout : 10;
-  Base.RandSeedBase = Opts.RandSeedBase;
-  runtime::ParallelConfig PC;
-  PC.Jobs = Opts.Jobs;
-
-  int Mismatches = 0;
-  int64_t SemOff = 0, SemShared = 0, SemCold = 0, SemWarm = 0;
-  int64_t SharedHits = 0, WarmHits = 0, WarmLoaded = 0;
-
-  std::printf("%-22s %-9s %-9s %-9s %7s %7s %7s %6s\n", "workload", "off",
-              "shared", "warm", "sem-off", "sem-sh", "sem-w", "hits");
-  for (const auto &W : Suite) {
-    // The persisted arms fingerprint the same program the workers build:
-    // built from source, no pruning or fusion (default ParallelConfig).
-    smt::TermManager TM;
-    prog::BuildResult Build = prog::buildFromSource(W.Source, TM);
-    if (!Build.ok()) {
-      std::fprintf(stderr, "%s: %s\n", W.Name.c_str(), Build.Error.c_str());
-      return 2;
-    }
-    persist::Fingerprint FP = persist::fingerprintProgram(*Build.Program);
-
-    // Arm 1: oracle off — every worker on its private cache.
-    PC.SharedCommut = nullptr;
-    runtime::ParallelPortfolioResult Off =
-        runtime::runPortfolioParallel(W.Source, Base, PC);
-
-    // Arm 2: one shared in-memory table for the race.
-    red::CommutOracle Shared;
-    PC.SharedCommut = &Shared;
-    runtime::ParallelPortfolioResult SharedRun =
-        runtime::runPortfolioParallel(W.Source, Base, PC);
-
-    // Arm 3a (cold): fresh table bound to disk, flushed after the race.
-    red::CommutOracle Cold;
-    Cold.bindDisk(CacheDir, FP);
-    PC.SharedCommut = &Cold;
-    runtime::ParallelPortfolioResult ColdRun =
-        runtime::runPortfolioParallel(W.Source, Base, PC);
-    Cold.flushDisk();
-
-    // Arm 3b (warm): a fresh table reloads the flushed answers.
-    red::CommutOracle Warm;
-    WarmLoaded += static_cast<int64_t>(Warm.bindDisk(CacheDir, FP));
-    PC.SharedCommut = &Warm;
-    runtime::ParallelPortfolioResult WarmRun =
-        runtime::runPortfolioParallel(W.Source, Base, PC);
-
-    bool Agree = Off.Best.V == SharedRun.Best.V &&
-                 Off.Best.V == ColdRun.Best.V &&
-                 Off.Best.V == WarmRun.Best.V;
-    if (!Agree)
-      ++Mismatches;
-    SemOff += Off.Merged.get("commut_semantic");
-    SemShared += SharedRun.Merged.get("commut_semantic");
-    SemCold += ColdRun.Merged.get("commut_semantic");
-    SemWarm += WarmRun.Merged.get("commut_semantic");
-    SharedHits += SharedRun.Merged.get("commut_shared_hits");
-    WarmHits += WarmRun.Merged.get("commut_shared_hits");
-    std::printf("%-22s %-9s %-9s %-9s %7lld %7lld %7lld %6lld%s\n",
-                W.Name.c_str(), core::verdictName(Off.Best.V).c_str(),
-                core::verdictName(SharedRun.Best.V).c_str(),
-                core::verdictName(WarmRun.Best.V).c_str(),
-                static_cast<long long>(Off.Merged.get("commut_semantic")),
-                static_cast<long long>(
-                    SharedRun.Merged.get("commut_semantic")),
-                static_cast<long long>(
-                    WarmRun.Merged.get("commut_semantic")),
-                static_cast<long long>(
-                    SharedRun.Merged.get("commut_shared_hits")),
-                Agree ? "" : "  << VERDICT MISMATCH");
-  }
-
-  std::printf("\nsemantic solver calls (aggregate across workers): %lld "
-              "off, %lld shared",
-              static_cast<long long>(SemOff),
-              static_cast<long long>(SemShared));
-  if (SemOff > 0)
-    std::printf(" (%.1f%% saved, %lld shared hit(s))",
-                100.0 * static_cast<double>(SemOff - SemShared) /
-                    static_cast<double>(SemOff),
-                static_cast<long long>(SharedHits));
-  std::printf("\npersisted: %lld cold, %lld warm",
-              static_cast<long long>(SemCold),
-              static_cast<long long>(SemWarm));
-  if (SemCold > 0)
-    std::printf(" (%.1f%% saved; %lld entr%s loaded, %lld hit(s))",
-                100.0 * static_cast<double>(SemCold - SemWarm) /
-                    static_cast<double>(SemCold),
-                static_cast<long long>(WarmLoaded),
-                WarmLoaded == 1 ? "y" : "ies",
-                static_cast<long long>(WarmHits));
-  std::printf("\n");
-  if (OwnDir)
-    std::filesystem::remove_all(CacheDir, EC);
-  if (Mismatches > 0) {
-    std::fprintf(stderr, "error: %d verdict mismatch(es)\n", Mismatches);
-    return 1;
-  }
-  if (SemShared >= SemOff) {
-    std::fprintf(stderr,
-                 "error: shared oracle did not reduce aggregate semantic "
-                 "solver calls (%lld shared vs %lld off)\n",
-                 static_cast<long long>(SemShared),
-                 static_cast<long long>(SemOff));
-    return 1;
-  }
-  if (SemWarm >= SemCold) {
-    std::fprintf(stderr,
-                 "error: persisted-warm run did not reduce semantic solver "
-                 "calls (%lld warm vs %lld cold)\n",
-                 static_cast<long long>(SemWarm),
-                 static_cast<long long>(SemCold));
-    return 1;
-  }
-  std::printf("all verdicts agree across oracle arms\n");
-  return 0;
-}
-
-/// Differential gate for the incremental DPLL(T) sessions: every workload
-/// is verified with incremental SMT sessions and with the fresh-instance
-/// path — sequentially, and (every third workload) with the 2-job parallel
-/// portfolio under both modes — and all verdicts must agree. Sessions only
-/// change how queries are posed to the solver, never their meaning, so any
-/// disagreement is a bug. Also reports the solver wall-second savings the
-/// sessions buy and the session counters. Returns the process exit code.
-int runCheckIncremental(const CliOptions &Opts) {
-  std::vector<workloads::WorkloadInstance> Suite =
-      workloads::svcompLikeSuite();
-  std::vector<workloads::WorkloadInstance> Weaver =
-      workloads::weaverLikeSuite();
-  Suite.insert(Suite.end(), Weaver.begin(), Weaver.end());
-  std::vector<workloads::WorkloadInstance> LoopHeavy =
-      workloads::loopHeavySuite();
-  Suite.insert(Suite.end(), LoopHeavy.begin(), LoopHeavy.end());
-  std::vector<workloads::WorkloadInstance> Affine =
-      workloads::affineSuite();
-  Suite.insert(Suite.end(), Affine.begin(), Affine.end());
-  if (Opts.CheckIncrementalQuick) {
-    std::vector<workloads::WorkloadInstance> Sample;
-    for (size_t I = 0; I < Suite.size(); I += 3)
-      Sample.push_back(Suite[I]);
-    Suite = std::move(Sample);
-  }
-
-  double Timeout = Opts.TimeoutSet ? Opts.Timeout : 10;
-  int Mismatches = 0;
-  int64_t SolverUsInc = 0, SolverUsFresh = 0;
-  int64_t Sessions = 0, AssumptionSolves = 0, Retained = 0, WarmPivots = 0;
-  size_t ParallelArms = 0;
-
-  std::printf("%-22s %-10s %-10s %9s %9s %6s %6s\n", "workload",
-              "incremental", "fresh", "slv-inc", "slv-frsh", "sess",
-              "asolve");
-  for (size_t I = 0; I < Suite.size(); ++I) {
-    const auto &W = Suite[I];
-    smt::TermManager TM;
-    prog::BuildResult Build = prog::buildFromSource(W.Source, TM);
-    if (!Build.ok()) {
-      std::fprintf(stderr, "%s: %s\n", W.Name.c_str(), Build.Error.c_str());
-      return 2;
-    }
-    core::VerifierConfig Config;
-    Config.TimeoutSeconds = Timeout;
-    Config.RandSeedBase = Opts.RandSeedBase;
-
-    // Arm 1: incremental sessions (the default path).
-    Config.IncrementalSmt = true;
-    core::VerificationResult Inc =
-        core::runSingleOrder(*Build.Program, Config, "seq");
-    // Arm 2: one throwaway solver per query (the pre-session path).
-    Config.IncrementalSmt = false;
-    core::VerificationResult Fresh =
-        core::runSingleOrder(*Build.Program, Config, "seq");
-
-    bool Agree = Inc.V == Fresh.V;
-
-    // Every third workload additionally races the 2-job parallel portfolio
-    // under both modes: sessions live inside each worker's verifier, and
-    // cancellation (a worker losing the race) must still never flip or
-    // publish a wrong verdict.
-    if (I % 3 == 0) {
-      runtime::ParallelConfig PC;
-      PC.Jobs = 2;
-      core::VerifierConfig ParConfig = Config;
-      ParConfig.IncrementalSmt = true;
-      runtime::ParallelPortfolioResult ParInc =
-          runtime::runPortfolioParallel(W.Source, ParConfig, PC);
-      ParConfig.IncrementalSmt = false;
-      runtime::ParallelPortfolioResult ParFresh =
-          runtime::runPortfolioParallel(W.Source, ParConfig, PC);
-      Agree = Agree && Inc.V == ParInc.Best.V && Inc.V == ParFresh.Best.V;
-      ++ParallelArms;
-    }
-
-    if (!Agree)
-      ++Mismatches;
-    SolverUsInc += Inc.Stats.get("smt_solver_us");
-    SolverUsFresh += Fresh.Stats.get("smt_solver_us");
-    Sessions += Inc.Stats.get("smt_sessions");
-    AssumptionSolves += Inc.Stats.get("smt_assumption_solves");
-    Retained += Inc.Stats.get("smt_clauses_retained");
-    WarmPivots += Inc.Stats.get("smt_tableau_warm_pivots");
-    std::printf("%-22s %-10s %-10s %8.3fs %8.3fs %6lld %6lld%s\n",
-                W.Name.c_str(), core::verdictName(Inc.V).c_str(),
-                core::verdictName(Fresh.V).c_str(),
-                static_cast<double>(Inc.Stats.get("smt_solver_us")) / 1e6,
-                static_cast<double>(Fresh.Stats.get("smt_solver_us")) / 1e6,
-                static_cast<long long>(Inc.Stats.get("smt_sessions")),
-                static_cast<long long>(
-                    Inc.Stats.get("smt_assumption_solves")),
-                Agree ? "" : "  << VERDICT MISMATCH");
-  }
-
-  std::printf("\nsolver wall-seconds: %.3fs incremental, %.3fs fresh",
-              static_cast<double>(SolverUsInc) / 1e6,
-              static_cast<double>(SolverUsFresh) / 1e6);
-  if (SolverUsFresh > 0)
-    std::printf(" (%.1f%% saved)",
-                100.0 * static_cast<double>(SolverUsFresh - SolverUsInc) /
-                    static_cast<double>(SolverUsFresh));
-  std::printf("\nsessions: %lld opened, %lld assumption solve(s), %lld "
-              "learned clause(s) retained, %lld warm pivot(s); %zu "
-              "parallel arm(s)\n",
-              static_cast<long long>(Sessions),
-              static_cast<long long>(AssumptionSolves),
-              static_cast<long long>(Retained),
-              static_cast<long long>(WarmPivots), ParallelArms);
-  if (Mismatches > 0) {
-    std::fprintf(stderr, "error: %d verdict mismatch(es)\n", Mismatches);
-    return 1;
-  }
-  if (Sessions == 0) {
-    std::fprintf(stderr,
-                 "error: incremental arm never opened a session\n");
-    return 1;
-  }
-  std::printf("all verdicts agree across incremental arms\n");
-  return 0;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -1088,18 +290,14 @@ int main(int argc, char **argv) {
     printUsage();
     return 2;
   }
-  if (Opts.CheckTiers)
-    return runCheckTiers(Opts);
-  if (Opts.CheckParallel)
-    return runCheckParallel(Opts);
-  if (Opts.CheckCache)
-    return runCheckCache(Opts);
-  if (Opts.CheckFusion)
-    return runCheckFusion(Opts);
-  if (Opts.CheckCommut)
-    return runCheckCommut(Opts);
-  if (Opts.CheckIncremental)
-    return runCheckIncremental(Opts);
+  if (!Opts.Check.empty()) {
+    check::CheckOptions Check;
+    Check.Quick = Opts.CheckQuick;
+    Check.TimeoutSeconds = Opts.TimeoutSet ? Opts.Timeout : 10;
+    Check.Jobs = Opts.Jobs;
+    Check.RandSeedBase = Opts.RandSeedBase;
+    return check::runAxis(Opts.Check, Check);
+  }
 
   std::ifstream In(Opts.File);
   if (!In) {
@@ -1117,6 +315,11 @@ int main(int argc, char **argv) {
     return 2;
   }
   prog::ConcurrentProgram &P = *Build.Program;
+  if (!Opts.Order.empty() && !knownOrder(P, Opts)) {
+    std::fprintf(stderr, "unknown order '%s'\n", Opts.Order.c_str());
+    printUsage();
+    return 2;
+  }
   std::printf("%s: %d threads, %u locations, %u statements\n",
               Opts.File.c_str(), P.numThreads(), P.size(), P.numLetters());
 
@@ -1212,7 +415,6 @@ int main(int argc, char **argv) {
   Config.OctagonTier = !Opts.NoOctagon;
   Config.KarrTier = !Opts.NoKarr;
   Config.SeedProof = Opts.SeedProof;
-  Config.FuseTransactions = Opts.Fuse;
   Config.IncrementalSmt = Opts.Incremental;
   Config.MinimizeProof = Opts.Minimize;
   Config.Source = Opts.Source == "interp"
@@ -1239,22 +441,15 @@ int main(int argc, char **argv) {
       std::printf("commut cache: loaded %zu persisted answer(s)\n", Loaded);
   }
 
-  int Exit = 0;
+  core::Verdict Final = core::Verdict::Unknown;
   if (!Opts.Order.empty()) {
-    if (Opts.Order == "baseline") {
-      Config.UseSleepSets = false;
-      Config.UsePersistentSets = false;
-      Config.ProofSensitive = false;
-    }
     Config.SharedCommut = Oracle;
     core::VerificationResult R = core::runSingleOrder(P, Config, Opts.Order);
     report(R, P, Opts, Opts.Order);
     if (Opts.CacheStats)
       reportCacheStats(R.Stats);
-    Exit = R.V == core::Verdict::Correct      ? 0
-           : R.V == core::Verdict::Incorrect ? 1
-                                             : 3;
-  } else if (Opts.ParallelPortfolio) {
+    Final = R.V;
+  } else if (Opts.Portfolio == "parallel") {
     runtime::ParallelConfig PC;
     PC.Jobs = Opts.Jobs;
     // Workers rebuild from source; replicate this process's preprocessing.
@@ -1275,9 +470,7 @@ int main(int argc, char **argv) {
       std::printf("merged stats: %s\n", R.Merged.str().c_str());
     if (Opts.CacheStats)
       reportCacheStats(R.Merged);
-    Exit = R.Best.V == core::Verdict::Correct      ? 0
-           : R.Best.V == core::Verdict::Incorrect ? 1
-                                                  : 3;
+    Final = R.Best.V;
   } else {
     core::PortfolioResult R = core::runPortfolio(P, Config);
     report(R.Best, P, Opts, R.BestOrder);
@@ -1288,9 +481,7 @@ int main(int argc, char **argv) {
         All.mergeFrom(E.Result.Stats);
       reportCacheStats(All);
     }
-    Exit = R.Best.V == core::Verdict::Correct      ? 0
-           : R.Best.V == core::Verdict::Incorrect ? 1
-                                                  : 3;
+    Final = R.Best.V;
   }
   if (CommutDisk) {
     CommutTable.flushDisk();
@@ -1298,5 +489,7 @@ int main(int argc, char **argv) {
       std::printf("commut cache: flushed %zu answer(s)\n",
                   CommutTable.size());
   }
-  return Exit;
+  return Final == core::Verdict::Correct     ? 0
+         : Final == core::Verdict::Incorrect ? 1
+                                             : 3;
 }
