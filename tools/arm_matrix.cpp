@@ -232,6 +232,33 @@ int runMatrix(const std::string &Name, const Axis &A, bool Quick) {
   return 1;
 }
 
+/// Keeps the suites and arms named by Opts, and the relations and report
+/// counters that read kept arms only. False if a name matches nothing.
+bool keepOnly(Axis &A, const check::CheckOptions &Opts) {
+  auto Keeps = [](const std::vector<std::string> &Names,
+                  const std::string &Name) {
+    return Names.empty() ||
+           std::find(Names.begin(), Names.end(), Name) != Names.end();
+  };
+  std::erase_if(A.Suites,
+                [&](const Suite &S) { return !Keeps(Opts.Suites, S.Name); });
+  std::erase_if(A.Arms,
+                [&](const Arm &Am) { return !Keeps(Opts.Arms, Am.Name); });
+  auto Kept = [&A](const Counter &C) {
+    return C.Arm.empty() ||
+           std::any_of(A.Arms.begin(), A.Arms.end(),
+                       [&C](const Arm &Am) { return Am.Name == C.Arm; });
+  };
+  std::erase_if(A.Relations, [&](const Relation &R) {
+    return !Kept(R.Lhs) || !Kept(R.Rhs) || !Kept(R.When);
+  });
+  std::erase_if(A.Report, [&](const Counter &C) { return !Kept(C); });
+  return A.Suites.size() ==
+             (Opts.Suites.empty() ? A.Suites.size() : Opts.Suites.size()) &&
+         A.Arms.size() ==
+             (Opts.Arms.empty() ? A.Arms.size() : Opts.Arms.size());
+}
+
 //===----------------------------------------------------------------------===//
 // Arms
 //===----------------------------------------------------------------------===//
@@ -488,9 +515,16 @@ int seqver::check::runAxis(const std::string &Name,
   std::error_code EC;
   std::filesystem::remove_all(Dir, EC);
   int Exit = 2;
-  for (const auto &[AxisName, Make] : Axes)
-    if (Name == AxisName)
-      Exit = runMatrix(Name, Make(Base, PC, Dir), Opts.Quick);
+  for (const auto &[AxisName, Make] : Axes) {
+    if (Name != AxisName)
+      continue;
+    Axis A = Make(Base, PC, Dir);
+    if (keepOnly(A, Opts))
+      Exit = runMatrix(Name, A, Opts.Quick);
+    else
+      std::fprintf(stderr, "error: check %s: unknown suite or arm\n",
+                   Name.c_str());
+  }
   std::filesystem::remove_all(Dir, EC);
   return Exit;
 }

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace seqver {
 namespace check {
@@ -23,6 +24,9 @@ struct CheckOptions {
   double TimeoutSeconds = 10; ///< per verification run
   unsigned Jobs = 0;          ///< race workers; 0 = hardware concurrency
   uint64_t RandSeedBase = 0;
+  /// Runs only the named suites / arms of the axis; empty keeps them all.
+  /// A relation or report counter that reads a dropped arm is dropped too.
+  std::vector<std::string> Suites, Arms;
 };
 
 /// True iff Name is an axis: tiers, parallel, cache, fusion, commut or
@@ -31,7 +35,7 @@ bool isAxis(const std::string &Name);
 
 /// Runs one axis and prints its report. Returns the process exit code: 0
 /// when every rule holds, 1 when one fails, 2 when a workload cannot be
-/// set up.
+/// set up or a filter names no suite or arm of the axis.
 int runAxis(const std::string &Name, const CheckOptions &Opts);
 
 } // namespace check
