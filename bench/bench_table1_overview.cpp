@@ -81,10 +81,10 @@ void printSuiteBlock(const std::string &SuiteName,
               static_cast<long long>(G.TotalSmtQueries));
 }
 
-/// Races the parallel portfolio against the sequential portfolio's
-/// sum-of-orders cost on the small Weaver subset. The exported counters
-/// land in the BENCH JSON: parallel_wall_s is real measured wall-clock,
-/// sequential_sum_s is what running every order to completion costs, and
+/// Races the parallel portfolio against the sum-of-orders cost on the
+/// small Weaver subset. The exported counters land in the BENCH JSON:
+/// parallel_wall_s is real measured wall-clock, sequential_sum_s is what
+/// running every order to completion costs, and
 /// portfolio_speedup is their ratio (the genuine win of the racing
 /// executor — cancellation stops losing orders, so it exceeds 1 even on a
 /// single core).
@@ -101,17 +101,16 @@ void BM_SuitePortfolioParallel(benchmark::State &State) {
       ParallelWall += Par.WallSeconds;
       AsIfParallel += Par.Seconds;
       ParRecords.push_back(Par);
-      // Sequential portfolio: every order runs to completion; its cost is
-      // the sum over orders (what the emulation actually pays).
+      // Every order run to completion; its cost is the sum over orders.
       smt::TermManager TM;
       prog::BuildResult B = prog::buildFromSource(W.Source, TM);
       if (!B.ok())
         continue;
       core::VerifierConfig Config;
       Config.TimeoutSeconds = benchTimeout();
-      core::PortfolioResult Seq = core::runPortfolio(*B.Program, Config);
-      for (const core::PortfolioEntry &E : Seq.Entries)
-        SequentialSum += E.Result.Seconds;
+      for (const auto &Order : red::makePortfolioOrders(*B.Program))
+        SequentialSum +=
+            core::runSingleOrder(*B.Program, Config, Order->name()).Seconds;
     }
     benchmark::DoNotOptimize(ParallelWall);
   }

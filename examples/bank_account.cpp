@@ -10,9 +10,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/Portfolio.h"
 #include "program/CfgBuilder.h"
 #include "program/Interpreter.h"
+#include "runtime/ParallelPortfolio.h"
 
 #include <cstdio>
 
@@ -42,7 +42,8 @@ std::string bankSource(bool Torn) {
 void audit(bool Torn) {
   std::printf("=== %s transfers ===\n", Torn ? "torn" : "atomic");
   smt::TermManager TM;
-  prog::BuildResult B = prog::buildFromSource(bankSource(Torn), TM);
+  std::string Source = bankSource(Torn);
+  prog::BuildResult B = prog::buildFromSource(Source, TM);
   if (!B.ok()) {
     std::printf("frontend error: %s\n", B.Error.c_str());
     return;
@@ -51,7 +52,8 @@ void audit(bool Torn) {
 
   core::VerifierConfig Config;
   Config.TimeoutSeconds = 30;
-  core::PortfolioResult R = core::runPortfolio(P, Config);
+  runtime::ParallelPortfolioResult R =
+      runtime::runPortfolioParallel(Source, Config);
   std::printf("verdict: %s (winner %s, %d rounds, %.3fs)\n",
               core::verdictName(R.Best.V).c_str(), R.BestOrder.c_str(),
               R.Best.Rounds, R.Best.Seconds);

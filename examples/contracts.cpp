@@ -10,8 +10,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/Portfolio.h"
 #include "program/CfgBuilder.h"
+#include "runtime/ParallelPortfolio.h"
 
 #include <cstdio>
 
@@ -81,7 +81,8 @@ void runContract(const char *Title, const char *Source) {
               TM.str(B.Program->postCondition()).c_str());
   core::VerifierConfig Config;
   Config.TimeoutSeconds = 60;
-  core::PortfolioResult R = core::runPortfolio(*B.Program, Config);
+  runtime::ParallelPortfolioResult R =
+      runtime::runPortfolioParallel(Source, Config);
   std::printf("verdict: %s (winner %s, %d rounds, %zu assertions, %.3fs)\n",
               core::verdictName(R.Best.V).c_str(), R.BestOrder.c_str(),
               R.Best.Rounds, R.Best.ProofSize, R.Best.Seconds);

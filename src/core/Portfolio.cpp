@@ -2,75 +2,12 @@
 
 #include "core/Portfolio.h"
 
-#include "persist/Fingerprint.h"
-#include "persist/ProofCache.h"
 #include "support/Timer.h"
 
 #include <cassert>
 
 using namespace seqver;
 using namespace seqver::core;
-
-PortfolioResult seqver::core::runPortfolio(const prog::ConcurrentProgram &P,
-                                           const VerifierConfig &Base) {
-  PortfolioResult Out;
-  auto Orders =
-      red::makePortfolioOrders(P, Base.RandOrders, Base.RandSeedBase);
-
-  bool HaveBest = false;
-  for (auto &Order : Orders) {
-    VerifierConfig Config = Base;
-    Config.Order = Order.get();
-    // Defer cache write-back to one store after the sweep: in this
-    // sequential as-if-parallel emulation, order 1's write-back would
-    // warm-start orders 2..n and distort their round counts.
-    Config.CacheWriteBack = false;
-    Verifier V(P, Config);
-    VerificationResult R = V.run();
-    bool Decisive = isDecisive(R.V);
-    PortfolioEntry Entry;
-    Entry.OrderName = Order->name();
-    Entry.Result = R;
-
-    // As-if-parallel: the portfolio's result is the fastest decisive run.
-    if (Decisive && (!HaveBest || R.Seconds < Out.Best.Seconds ||
-                     !isDecisive(Out.Best.V))) {
-      Out.Best = R;
-      Out.BestOrder = Order->name();
-      HaveBest = true;
-    }
-    if (!HaveBest) {
-      // Keep some result around even if nothing is decisive yet.
-      Out.Best = R;
-      Out.BestOrder = Order->name();
-    }
-    Out.Entries.push_back(std::move(Entry));
-  }
-  // Single deferred store of the winner's proof (last-writer-wins on the
-  // shared directory). ProofAssertions are canonical printer output, so
-  // they round-trip through the next run's cache load unchanged. A warm
-  // winner's round count reflects the seeding; keep the producing run's
-  // cold count (rounds + rounds_saved_warm) so later hits still report
-  // their savings against the cold baseline.
-  if (!Base.CacheDir.empty() && Base.CacheWriteBack &&
-      isDecisive(Out.Best.V)) {
-    persist::ProofCache Cache(Base.CacheDir);
-    persist::StoredProof Stored;
-    Stored.Verdict = verdictName(Out.Best.V);
-    Stored.Order = Out.BestOrder;
-    Stored.Rounds = static_cast<uint64_t>(
-        Out.Best.Rounds + Out.Best.Stats.get("rounds_saved_warm"));
-    if (Out.Best.V == Verdict::Correct)
-      Stored.Predicates = Out.Best.ProofAssertions;
-    if (Stored.Predicates.size() > Base.MaxCachePredicates)
-      Stored.Predicates.resize(Base.MaxCachePredicates);
-    uint64_t Evicted = 0;
-    if (Cache.prepare() &&
-        Cache.store(persist::fingerprintProgram(P), Stored, &Evicted))
-      Out.Best.Stats.add("cache_evicted", static_cast<int64_t>(Evicted));
-  }
-  return Out;
-}
 
 VerificationResult
 seqver::core::runSingleOrder(const prog::ConcurrentProgram &P,

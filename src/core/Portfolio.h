@@ -1,11 +1,12 @@
 //===- core/Portfolio.h - Preference-order portfolio (Sec. 8) -------------===//
 ///
 /// \file
-/// The evaluation's portfolio aggregation: GemCutter runs one verifier per
-/// preference order (seq, lockstep, rand(1..3)) and "terminates as soon as
-/// the analysis for any preference order terminates". We emulate the
-/// parallel portfolio sequentially and report the minimum time among
-/// successful orders (as-if-parallel; see EXPERIMENTS.md).
+/// The evaluation's portfolio: GemCutter runs one verifier per preference
+/// order (seq, lockstep, rand(1..3)) and "terminates as soon as the
+/// analysis for any preference order terminates". The portfolio driver is
+/// runtime::runPortfolioParallel (runtime/ParallelPortfolio.h), whose
+/// Jobs=1 is the sequential portfolio; this header keeps the per-order
+/// entry point and the adaptive scheduler.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,9 +16,7 @@
 #include "core/Verifier.h"
 #include "reduction/PreferenceOrder.h"
 
-#include <memory>
 #include <string>
-#include <vector>
 
 namespace seqver {
 namespace core {
@@ -27,20 +26,6 @@ struct PortfolioEntry {
   std::string OrderName;
   VerificationResult Result;
 };
-
-struct PortfolioResult {
-  /// The as-if-parallel aggregate: verdict of the fastest decisive order.
-  VerificationResult Best;
-  std::string BestOrder;
-  std::vector<PortfolioEntry> Entries;
-
-  bool decisive() const { return isDecisive(Best.V); }
-};
-
-/// Runs the full portfolio (all orders) on P. Template parameters of each
-/// run are taken from Base (Order is overridden per entry).
-PortfolioResult runPortfolio(const prog::ConcurrentProgram &P,
-                             const VerifierConfig &Base);
 
 /// Runs a single order by name ("seq", "lockstep", "rand(1)", ...); returns
 /// the verification result. Order name "baseline" runs without reduction.
@@ -57,7 +42,7 @@ VerificationResult runSingleOrder(const prog::ConcurrentProgram &P,
 /// order's time, without knowing the best order in advance.
 ///
 /// The reported Seconds is the *cumulative* scheduler time (unlike the
-/// as-if-parallel portfolio).
+/// race, which reports the winner's own run time).
 struct AdaptiveResult {
   VerificationResult Result;
   std::string DecidingOrder;

@@ -604,7 +604,7 @@ VerificationResult Verifier::Impl::run() {
       Stats.add("rounds_saved_warm",
                 static_cast<int64_t>(CachedRounds -
                                      static_cast<uint64_t>(Result.Rounds)));
-    if (Config.CacheWriteBack && isDecisive(Result.V)) {
+    if (isDecisive(Result.V)) {
       persist::ProofCache Cache(Config.CacheDir);
       persist::StoredProof Stored;
       Stored.Verdict = verdictName(Result.V);

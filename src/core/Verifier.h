@@ -109,13 +109,10 @@ struct VerifierConfig {
   /// and, on a cache hit, warm-starts the proof automaton with the stored
   /// predicates through the same Hoare-gated seam as SeedProof — so a
   /// stale or poisoned cache can cost time, never soundness. The stored
-  /// verdict is never trusted; every run re-verifies.
+  /// verdict is never trusted; every run re-verifies. A decisive verdict is
+  /// written back (the predicate pool for Correct, an empty record for
+  /// Incorrect).
   std::string CacheDir;
-  /// Write the final result back to the cache on a decisive verdict (the
-  /// predicate pool for Correct, an empty record for Incorrect). The
-  /// sequential portfolio turns this off per order and stores once after
-  /// the sweep, so later orders stay cold (as-if-parallel emulation).
-  bool CacheWriteBack = true;
   /// Cap on predicates accepted from one cache record (bounds the Hoare
   /// query burst an adversarial or bloated record can cause).
   size_t MaxCachePredicates = 4096;

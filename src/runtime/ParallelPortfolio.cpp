@@ -31,14 +31,21 @@ namespace {
 
 /// One racing task: rebuild the program, select the OrderIdx-th portfolio
 /// order, verify under the shared token. Never throws past the future
-/// boundary by construction (build errors become Unknown).
+/// boundary by construction (build errors become Unknown). A task the race
+/// stopped before it started returns at once: building the program and the
+/// Verifier's analyses and cache seeding would be wasted work.
 VerificationResult verifyOneOrder(const std::string &Source,
                                   const VerifierConfig &Base,
                                   size_t OrderIdx, bool Prune,
                                   analysis::PrunePreset Preset, bool Fuse,
-                                  bool UseCache, red::CommutOracle *Oracle,
+                                  red::CommutOracle *Oracle,
                                   const CancellationToken *Race,
                                   Statistics *Sink) {
+  if (Race->stopRequested()) {
+    VerificationResult R;
+    R.V = Race->cancelRequested() ? Verdict::Cancelled : Verdict::Timeout;
+    return R;
+  }
   smt::TermManager TM;
   prog::BuildResult Build = prog::buildFromSource(Source, TM);
   if (!Build.ok()) {
@@ -81,8 +88,6 @@ VerificationResult verifyOneOrder(const std::string &Source,
   Config.Order = Orders[OrderIdx].get();
   Config.Cancel = Race;
   Config.SharedCommut = Oracle;
-  if (!UseCache)
-    Config.CacheDir.clear();
   core::Verifier V(*Build.Program, Config);
   VerificationResult R = V.run();
   // Each worker owns its sink (registered before launch, see the hub's
@@ -138,12 +143,11 @@ ParallelPortfolioResult seqver::runtime::runPortfolioParallel(
                             : analysis::PrunePreset::IntervalOnly;
       Futures.push_back(Pool.submit(
           [&Source, &Base, I, Prune = PC.PruneDeadEdges, Preset,
-           Fuse = PC.FuseTransactions, UseCache = PC.UseProofCache,
-           Oracle = PC.SharedCommut, Race,
+           Fuse = PC.FuseTransactions, Oracle = PC.SharedCommut, Race,
            Sink = Sinks[I]]() -> VerificationResult {
-            VerificationResult R =
-                verifyOneOrder(Source, Base, I, Prune, Preset, Fuse,
-                               UseCache, Oracle, Race.get(), Sink);
+            VerificationResult R = verifyOneOrder(
+                Source, Base, I, Prune, Preset, Fuse, Oracle, Race.get(),
+                Sink);
             // First decisive verdict stops the race; calling this for
             // every decisive finisher is idempotent.
             if (core::isDecisive(R.V))

@@ -1,13 +1,13 @@
 //===- runtime/ParallelPortfolio.h - Racing portfolio scheduler -----------===//
 ///
 /// \file
-/// The genuinely parallel preference-order portfolio (PAPER.md Sec. 8:
-/// "terminates as soon as the analysis for any preference order
-/// terminates"), replacing the sequential as-if-parallel emulation of
-/// core/Portfolio.h for actual execution. One verification task per order
-/// runs on a fixed-size Executor; the first decisive verdict cancels the
-/// remaining tasks through a shared CancellationToken; losers stop within
-/// one poll interval (docs/RUNTIME.md quantifies the latency).
+/// The preference-order portfolio (PAPER.md Sec. 8: "terminates as soon
+/// as the analysis for any preference order terminates") and the only
+/// portfolio driver: Jobs=1 is the sequential portfolio. One verification
+/// task per order runs on a fixed-size Executor; the first decisive verdict
+/// cancels the remaining tasks through a shared CancellationToken; running
+/// losers stop within one poll interval (docs/RUNTIME.md quantifies the
+/// latency), and queued ones return before they build their program.
 ///
 /// Isolation: every worker builds its *own* program from source with its
 /// own TermManager — term construction mutates the manager, so racing
@@ -19,8 +19,8 @@
 /// every decisive verdict agrees; the *verdict* is therefore independent
 /// of thread scheduling. The reported winning order is tie-broken by fixed
 /// order priority (seq < lockstep < rand(k)) among the orders that
-/// finished decisively, and with Jobs=1 the race degenerates to exactly
-/// the sequential priority-order sweep.
+/// finished decisively. With Jobs=1 the orders run one after another in
+/// priority order until the first decisive one, which is the winner.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,34 +41,26 @@ struct ParallelConfig {
   /// Worker threads; 0 = std::thread::hardware_concurrency().
   unsigned Jobs = 0;
   /// Apply analysis::pruneDeadEdges to each worker's program copy (the
-  /// CLI's default preprocessing; must match the sequential path when
+  /// CLI's default preprocessing; must match the single-order path when
   /// comparing verdicts).
   bool PruneDeadEdges = false;
   /// Use octagon invariants in addition to intervals when pruning (only
-  /// meaningful with PruneDeadEdges; must match the sequential path's
+  /// meaningful with PruneDeadEdges; must match the single-order path's
   /// --octagon setting when comparing verdicts).
   bool OctagonPrune = false;
   /// Use Karr affine equalities on top of the octagons when pruning (only
   /// meaningful with PruneDeadEdges and OctagonPrune; must match the
-  /// sequential path's --karr setting when comparing verdicts). Each
+  /// single-order path's --karr setting when comparing verdicts). Each
   /// worker's removed-edge counts land in its statistics sink as
   /// edges_pruned / karr_pruned.
   bool KarrPrune = false;
   /// Fuse Lipton transactions in each worker's program copy after pruning
-  /// (analysis/Fusion.h; must match the sequential path's --fuse setting
+  /// (analysis/Fusion.h; must match the single-order path's --fuse setting
   /// when comparing verdicts). Each worker's fusion counters land in its
   /// statistics sink as fusion_fused_edges / fusion_transactions /
   /// fusion_alphabet_before / fusion_alphabet_after /
   /// fusion_states_before / fusion_states_after.
   bool FuseTransactions = false;
-  /// Let workers use the persistent proof cache configured in the base
-  /// VerifierConfig (CacheDir). All workers share one store: each loads at
-  /// construction and the decisive finishers write back, last-writer-wins
-  /// through atomic renames (docs/PERSIST.md). A worker that starts after
-  /// an early finisher stored may warm-start from this very race — that is
-  /// the shared cache working as intended. False forces every worker cold
-  /// (the differential gate's cold arm) without touching the base config.
-  bool UseProofCache = true;
   /// Shared commutativity oracle for the whole race
   /// (reduction/CommutOracle.h): every worker's CommutativityChecker
   /// consults and feeds one memo table under manager-independent canonical
@@ -106,7 +98,10 @@ struct ParallelPortfolioResult {
 /// Races the full portfolio over Source. Base supplies everything but the
 /// order (Order is overridden per task; Cancel is overridden with the
 /// race's shared token). Base.TimeoutSeconds, when positive, is armed as a
-/// real deadline for the race as a whole and for each task.
+/// real deadline for the race as a whole and for each task. A non-empty
+/// Base.CacheDir is one proof-cache store for all workers: each loads at
+/// construction and the decisive finishers write back, last-writer-wins
+/// through atomic renames (docs/PERSIST.md).
 ParallelPortfolioResult
 runPortfolioParallel(const std::string &Source,
                      const core::VerifierConfig &Base,

@@ -606,35 +606,31 @@ TEST_F(WarmStartTest, NoCacheDirNoTraffic) {
 }
 
 TEST_F(WarmStartTest, SequentialPortfolioDefersWriteBack) {
-  smt::TermManager TM;
-  auto P = build(workloads::loopSumSource(4), TM);
+  std::string Source = workloads::loopSumSource(4);
   core::VerifierConfig Config;
   Config.TimeoutSeconds = 30;
   Config.CacheDir = Tmp.Path;
+  runtime::ParallelConfig PC;
+  PC.Jobs = 1;
 
-  // Cold sweep: every order misses (no order may warm-start from an
-  // earlier order of the same as-if-parallel sweep), one record stored.
-  core::PortfolioResult Cold = core::runPortfolio(*P, Config);
+  // Cold one-job race: the winner is the only order that starts, so there
+  // is one lookup (a miss) and one record stored.
+  runtime::ParallelPortfolioResult Cold =
+      runtime::runPortfolioParallel(Source, Config, PC);
   ASSERT_EQ(Cold.Best.V, core::Verdict::Correct);
-  int64_t Hits = 0, Misses = 0;
-  for (const auto &E : Cold.Entries) {
-    Hits += E.Result.Stats.get("cache_hits");
-    Misses += E.Result.Stats.get("cache_misses");
-  }
-  EXPECT_EQ(Hits, 0);
-  EXPECT_EQ(Misses, static_cast<int64_t>(Cold.Entries.size()));
+  EXPECT_EQ(Cold.Merged.get("cache_hits"), 0);
+  EXPECT_EQ(Cold.Merged.get("cache_misses"), 1);
+  EXPECT_EQ(Cold.Merged.get("cache_stores"), 1);
   size_t Records = 0;
   for (auto &Entry : std::filesystem::directory_iterator(Tmp.Path))
     Records += Entry.path().extension() == ".proof";
   EXPECT_EQ(Records, 1u);
 
-  // Warm sweep: now every order hits the deferred record.
-  core::PortfolioResult Warm = core::runPortfolio(*P, Config);
+  // Warm race: the winner hits the record.
+  runtime::ParallelPortfolioResult Warm =
+      runtime::runPortfolioParallel(Source, Config, PC);
   EXPECT_EQ(Warm.Best.V, Cold.Best.V);
-  Hits = 0;
-  for (const auto &E : Warm.Entries)
-    Hits += E.Result.Stats.get("cache_hits");
-  EXPECT_EQ(Hits, static_cast<int64_t>(Warm.Entries.size()));
+  EXPECT_EQ(Warm.Best.Stats.get("cache_hits"), 1);
 }
 
 //===----------------------------------------------------------------------===//
@@ -674,25 +670,18 @@ TEST(PersistParallelTest, WorkersShareOneStore) {
 }
 
 TEST(PersistParallelTest, UseProofCacheOffForcesCold) {
-  TempCacheDir Tmp;
-  std::string Source = workloads::loopSumSource(4);
+  // An empty CacheDir keeps every worker cold: no lookups, no stores.
   core::VerifierConfig Base;
   Base.TimeoutSeconds = 30;
-  Base.CacheDir = Tmp.Path;
   runtime::ParallelConfig PC;
   PC.Jobs = 2;
-  PC.UseProofCache = false;
 
   runtime::ParallelPortfolioResult R =
-      runtime::runPortfolioParallel(Source, Base, PC);
+      runtime::runPortfolioParallel(workloads::loopSumSource(4), Base, PC);
   ASSERT_EQ(R.Best.V, core::Verdict::Correct);
   EXPECT_EQ(R.Merged.get("cache_hits"), 0);
   EXPECT_EQ(R.Merged.get("cache_misses"), 0);
-  // And nothing was stored: the workers never saw the directory.
-  bool AnyRecord = false;
-  for (auto &Entry : std::filesystem::directory_iterator(Tmp.Path))
-    AnyRecord |= Entry.path().extension() == ".proof";
-  EXPECT_FALSE(AnyRecord);
+  EXPECT_EQ(R.Merged.get("cache_stores"), 0);
 }
 
 } // namespace

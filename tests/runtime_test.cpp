@@ -244,7 +244,7 @@ TEST(ParallelPortfolioTest, SlowOrdersAreCancelledOnceAWinnerFinishes) {
   EXPECT_GE(R.Merged.get("portfolio_decisive_orders"), 1);
   // At least one loser was stopped by the race rather than finishing.
   EXPECT_GE(R.Merged.get("portfolio_cancelled_orders"), 1);
-  // The race never costs the full sum the sequential portfolio would pay:
+  // The race never costs the full sum over orders:
   // cancelled orders contribute only partial time. Sanity: wall-clock is
   // bounded by the race cost (loose; also holds on one core).
   EXPECT_GT(R.WallSeconds, 0.0);
@@ -264,22 +264,43 @@ TEST(ParallelPortfolioTest, VerdictIsDeterministicAcrossJobCounts) {
   core::VerifierConfig Base;
   Base.TimeoutSeconds = 60;
   for (const auto &W : Suite) {
-    // Sequential reference verdict.
-    smt::TermManager TM;
-    prog::BuildResult B = prog::buildFromSource(W.Source, TM);
-    ASSERT_TRUE(B.ok()) << W.Name << ": " << B.Error;
-    core::PortfolioResult Seq = core::runPortfolio(*B.Program, Base);
-
+    core::Verdict Expected = W.ExpectedCorrect ? core::Verdict::Correct
+                                               : core::Verdict::Incorrect;
+    core::Verdict Sequential = core::Verdict::Unknown;
     for (unsigned Jobs : {1u, 2u, 8u}) {
       ParallelConfig PC;
       PC.Jobs = Jobs;
       ParallelPortfolioResult Par =
           runPortfolioParallel(W.Source, Base, PC);
-      EXPECT_EQ(Par.Best.V, Seq.Best.V)
-          << W.Name << " with --jobs=" << Jobs;
+      if (Jobs == 1)
+        Sequential = Par.Best.V;
+      EXPECT_EQ(Par.Best.V, Expected) << W.Name << " with --jobs=" << Jobs;
+      EXPECT_EQ(Par.Best.V, Sequential) << W.Name << " with --jobs=" << Jobs;
       EXPECT_EQ(Par.Jobs, std::min(Jobs, 5u));
     }
   }
+}
+
+/// In a one-job race the orders after the winner are still queued when it
+/// finishes: they return Cancelled before building anything, so they carry
+/// no time and no counters.
+TEST(ParallelPortfolioTest, QueuedLosersOfAOneJobRaceNeverStart) {
+  core::VerifierConfig Base;
+  Base.TimeoutSeconds = 60;
+  ParallelConfig PC;
+  PC.Jobs = 1;
+  ParallelPortfolioResult R =
+      runPortfolioParallel(workloads::bluetoothSource(2), Base, PC);
+  ASSERT_EQ(R.Entries.size(), 5u);
+  EXPECT_EQ(R.BestOrder, "seq");
+  EXPECT_EQ(R.Best.V, core::Verdict::Correct);
+  for (size_t I = 1; I < R.Entries.size(); ++I) {
+    const core::PortfolioEntry &E = R.Entries[I];
+    EXPECT_EQ(E.Result.V, core::Verdict::Cancelled) << E.OrderName;
+    EXPECT_EQ(E.Result.Seconds, 0.0) << E.OrderName;
+    EXPECT_TRUE(E.Result.Stats.all().empty()) << E.OrderName;
+  }
+  EXPECT_EQ(R.Merged.get("portfolio_cancelled_orders"), 4);
 }
 
 /// Every order of mutex_bug_2 run alone is incorrect, so a loser the race

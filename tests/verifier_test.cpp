@@ -15,6 +15,7 @@
 
 #include "program/CfgBuilder.h"
 #include "program/Interpreter.h"
+#include "runtime/ParallelPortfolio.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -264,18 +265,22 @@ TEST_F(VerifierTest, VerdictMatchesExplicitStateOracle) {
 }
 
 TEST_F(VerifierTest, PortfolioAggregatesBestOrder) {
-  auto P = build(workloads::bluetoothSource(2));
-  VerifierConfig Cfg = fastConfig();
-  PortfolioResult R = runPortfolio(*P, Cfg);
+  // The sequential portfolio is the one-job race.
+  runtime::ParallelConfig PC;
+  PC.Jobs = 1;
+  runtime::ParallelPortfolioResult R = runtime::runPortfolioParallel(
+      workloads::bluetoothSource(2), fastConfig(), PC);
   EXPECT_TRUE(R.decisive());
   EXPECT_EQ(R.Best.V, Verdict::Correct);
-  EXPECT_EQ(R.Entries.size(), 5u); // seq, lockstep, rand(1..3)
-  // The best entry's time is the minimum among decisive entries.
-  for (const PortfolioEntry &E : R.Entries) {
-    if (E.Result.V == Verdict::Correct) {
-      EXPECT_LE(R.Best.Seconds, E.Result.Seconds + 1e-9);
-    }
-  }
+  ASSERT_EQ(R.Entries.size(), 5u); // seq, lockstep, rand(1..3)
+  // The winner is the first decisive order in priority order.
+  auto First = std::find_if(R.Entries.begin(), R.Entries.end(),
+                            [](const PortfolioEntry &E) {
+                              return isDecisive(E.Result.V);
+                            });
+  ASSERT_NE(First, R.Entries.end());
+  EXPECT_EQ(R.BestOrder, First->OrderName);
+  EXPECT_EQ(R.Best.Seconds, First->Result.Seconds);
 }
 
 TEST_F(VerifierTest, BluetoothConstantRoundsWithReduction) {

@@ -16,7 +16,6 @@
 #include "program/CfgBuilder.h"
 #include "reduction/CommutOracle.h"
 #include "runtime/ParallelPortfolio.h"
-#include "support/Timer.h"
 #include "workloads/Workloads.h"
 
 #include <algorithm>
@@ -292,17 +291,6 @@ ArmFn seqArm(core::VerifierConfig C, ProgramPrep Prep = {}) {
   };
 }
 
-/// The sequential portfolio: every order in turn.
-ArmFn sweepArm(core::VerifierConfig C) {
-  return [C](const WorkloadInstance &W) {
-    smt::TermManager TM;
-    prog::BuildResult B = build(W.Source, TM);
-    Timer Wall;
-    core::PortfolioResult R = core::runPortfolio(*B.Program, C);
-    return withWallMs(R.Best.V, R.Best.Stats, Wall.seconds());
-  };
-}
-
 /// The parallel portfolio race; counters are the workers' merged sinks.
 /// With SharedOracle, the race gets a fresh shared commutativity oracle;
 /// a non-empty Dir binds it to disk, so it loads what an earlier arm
@@ -390,7 +378,10 @@ Axis tiersAxis(const core::VerifierConfig &Base, runtime::ParallelConfig,
 Axis parallelAxis(const core::VerifierConfig &Base,
                   runtime::ParallelConfig PC, const std::string &) {
   Axis A{tier1Suites(/*svcomp and weaver*/ 2), {}, {}, {}};
-  A.Arms = {{"sequential", sweepArm(Base)}, {"parallel", raceArm(Base, PC)}};
+  runtime::ParallelConfig Sequential = PC;
+  Sequential.Jobs = 1;
+  A.Arms = {{"sequential", raceArm(Base, Sequential)},
+            {"parallel", raceArm(Base, PC)}};
   A.Report = {{"sequential", "wall_ms"}, {"parallel", "wall_ms"}};
   return A;
 }
@@ -443,6 +434,9 @@ Axis fusionAxis(const core::VerifierConfig &Base, runtime::ParallelConfig PC,
 
 Axis commutAxis(const core::VerifierConfig &Base, runtime::ParallelConfig PC,
                 const std::string &Dir) {
+  // One-job races: the orders run in priority order, so the relations
+  // compare the same runs every time instead of racing winners.
+  PC.Jobs = 1;
   Axis A{tier1Suites(), {}, {}, {}};
   A.Arms = {{"off", raceArm(Base, PC)},
             {"shared", raceArm(Base, PC, true)},

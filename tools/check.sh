@@ -32,7 +32,8 @@ EOF
 for args in "--order=bogus" "--order=rand(1) --rand-seed=5" \
             "--timeout=abc" "--timeout=-1" "--timeout=inf" "--jobs=-1" \
             "--jobs=2x" "--rand-seed=garbage" "--simulate=12abc" \
-            "--simulate=" "--check=bogus" "--check=tiers,slow"; do
+            "--simulate=" "--check=bogus" "--check=tiers,slow" \
+            "--portfolio=parallel"; do
   status=0
   # shellcheck disable=SC2086
   OUT=$("$SEQVER" $args "$PROBE" 2>&1) || status=$?
@@ -45,7 +46,7 @@ echo "input validation: ok"
 
 # 2. The per-worker commut_karr survives the hub merge. The winner may
 # settle before it consults the affine tier, so read the merged totals.
-MERGED=$("$SEQVER" --portfolio=parallel --stats "$PROBE" | grep '^merged stats:' || true)
+MERGED=$("$SEQVER" --stats "$PROBE" | grep '^merged stats:' || true)
 nonzero commut_karr "$MERGED" || fail "commut_karr not merged: ${MERGED:-<missing>}"
 echo "karr-merge probe: ok"
 
@@ -53,7 +54,7 @@ echo "karr-merge probe: ok"
 # warm-starts from the oracle the first one persisted. Catches a broken
 # oracle wiring in the runtime and a dropped counter in the merge.
 for run in cold warm; do
-  MERGED=$("$SEQVER" --portfolio=parallel --jobs=2 --commut-cache=persist \
+  MERGED=$("$SEQVER" --jobs=2 --commut-cache=persist \
              --cache-dir="$TMP/commut" --stats "$PROBE" | grep '^merged stats:' || true)
 done
 nonzero commut_shared_hits "$MERGED" \
@@ -69,4 +70,12 @@ case "$WARM" in
   "cache: 1 hit(s), 0 miss(es), 0 seeded"*) fail "warm hit seeded nothing: $WARM" ;;
   "cache: 1 hit(s), 0 miss(es), "*) echo "cache-dir probe: ok (${WARM#cache: })" ;;
   *) fail "warm --cache-dir run reported no hit: ${WARM:-<missing>}" ;;
+esac
+
+# 5. A default (portfolio) cold run on an empty --cache-dir stores its proof
+# and counts the store.
+COLD=$("$SEQVER" --cache-dir="$TMP/portfolio" --cache-stats "$PROBE" | grep '^cache:' || true)
+case "$COLD" in
+  *", "[1-9]*" store(s)") echo "portfolio cache-store probe: ok (${COLD#cache: })" ;;
+  *) fail "cold portfolio run counted no store: ${COLD:-<missing>}" ;;
 esac

@@ -2,7 +2,7 @@
 ///
 /// The command-line front door: verifies a concurrent program written in
 /// the mini-language (see docs in README.md) with a chosen preference order
-/// or the full portfolio.
+/// or the portfolio race over all of them (runtime/ParallelPortfolio.h).
 ///
 /// Usage:
 ///   seqver [options] <file.conc>
@@ -12,9 +12,8 @@
 ///   --order=<seq|lockstep|rand(n+1)|rand(n+2)|rand(n+3)|baseline>
 ///                         single preference order (default: portfolio);
 ///                         n is the --rand-seed value
-///   --portfolio=<sequential|parallel>
-///                         as-if-parallel emulation (default) or the race
-///   --jobs=<n>            race workers (default 0: hardware concurrency)
+///   --jobs=<n>            portfolio workers (default 0: hardware
+///                         concurrency; 1 is the sequential portfolio)
 ///   --rand-seed=<n>       seed base of the rand(k) portfolio orders
 ///   --analyze             print the static race/independence report and
 ///                         exit (1 when potential races are found)
@@ -42,12 +41,12 @@
 ///   --no-cache            ignore any --cache-dir given earlier
 ///   --cache-stats         print the cache counters after the run
 ///   --commut-cache=<off|shared|persist|conservative>
-///                         shared commutativity oracle for --order and
-///                         --portfolio=parallel runs (default shared;
+///                         shared commutativity oracle (default shared;
 ///                         docs/PERF.md §6 and docs/PERSIST.md)
 ///   --no-incremental      one fresh SMT solver per query instead of the
 ///                         incremental sessions (docs/PERF.md §7)
-///   --timeout=<seconds>   per-analysis timeout (default 60; 0 disables)
+///   --timeout=<seconds>   timeout of the whole run (default 60; 0
+///                         disables)
 ///   --witness             print the error trace for incorrect programs
 ///   --proof               print the final proof assertions
 ///   --minimize            greedily minimize the proof before reporting
@@ -87,7 +86,6 @@ namespace {
 struct CliOptions {
   std::string File;
   std::string Order; // empty = portfolio
-  std::string Portfolio = "sequential";
   unsigned Jobs = 0; // 0 = hardware concurrency
   uint64_t RandSeedBase = 0;
   std::string Check; // axis of --check; empty = verify File
@@ -123,7 +121,7 @@ void printUsage() {
       "       seqver --check=<tiers|parallel|cache|fusion|commut|"
       "incremental>[,quick]\n"
       "  --order=<seq|lockstep|rand(n+1)|rand(n+2)|rand(n+3)|baseline>\n"
-      "  --portfolio=<sequential|parallel> --jobs=<n> --rand-seed=<n>\n"
+      "  --jobs=<n> (1: sequential portfolio) --rand-seed=<n>\n"
       "  --analyze[=karr|movers] --no-sleep --no-persistent\n"
       "  --no-proof-sensitive --no-static --no-octagon --no-karr\n"
       "  --seed-proof --no-seed --no-prune --fuse --no-fuse\n"
@@ -173,7 +171,6 @@ bool parseArgs(int argc, char **argv, CliOptions &Opts) {
   const std::pair<std::string,
                   std::pair<std::string *, std::vector<std::string>>>
       Choices[] = {
-          {"--portfolio", {&Opts.Portfolio, {"sequential", "parallel"}}},
           {"--analyze", {&Opts.AnalyzeFocus, {"karr", "movers"}}},
           {"--commut-cache",
            {&Opts.CommutCache, {"off", "shared", "persist", "conservative"}}},
@@ -424,7 +421,7 @@ int main(int argc, char **argv) {
 
   // Shared commutativity oracle (reduction/CommutOracle.h). Created here,
   // after pruning and fusion, so the disk namespace fingerprint is taken
-  // from the very program the verifiers run (parallel workers rebuild the
+  // from the very program the verifiers run (portfolio workers rebuild the
   // identical program: same source, same preprocessing flags). The table
   // outlives both branches below; workers hold non-owning pointers.
   red::CommutOracle CommutTable;
@@ -449,7 +446,7 @@ int main(int argc, char **argv) {
     if (Opts.CacheStats)
       reportCacheStats(R.Stats);
     Final = R.V;
-  } else if (Opts.Portfolio == "parallel") {
+  } else {
     runtime::ParallelConfig PC;
     PC.Jobs = Opts.Jobs;
     // Workers rebuild from source; replicate this process's preprocessing.
@@ -470,17 +467,6 @@ int main(int argc, char **argv) {
       std::printf("merged stats: %s\n", R.Merged.str().c_str());
     if (Opts.CacheStats)
       reportCacheStats(R.Merged);
-    Final = R.Best.V;
-  } else {
-    core::PortfolioResult R = core::runPortfolio(P, Config);
-    report(R.Best, P, Opts, R.BestOrder);
-    if (Opts.CacheStats) {
-      // Cache traffic is per order in the sequential sweep; aggregate it.
-      Statistics All;
-      for (const core::PortfolioEntry &E : R.Entries)
-        All.mergeFrom(E.Result.Stats);
-      reportCacheStats(All);
-    }
     Final = R.Best.V;
   }
   if (CommutDisk) {
