@@ -94,12 +94,7 @@ Term ProofAutomaton::wpCached(Letter L, uint32_t PredId) {
   return Wp;
 }
 
-const PredSet &ProofAutomaton::step(const PredSet &S, Letter L) {
-  auto Key = std::make_pair(S, L);
-  auto It = StepCache.find(Key);
-  if (It != StepCache.end())
-    return It->second;
-
+PredSet ProofAutomaton::step(const PredSet &S, Letter L) {
   PredSet Out;
   Term Pre = conjunction(S);
   if (Pre == TM.mkFalse()) {
@@ -117,16 +112,7 @@ const PredSet &ProofAutomaton::step(const PredSet &S, Letter L) {
         Out.push_back(Id);
     }
   }
-  return StepCache.emplace(Key, std::move(Out)).first->second;
-}
-
-void ProofAutomaton::invalidateCaches() {
-  StepCache.clear();
-  // Conj and wp caches stay valid: they are keyed by content that does not
-  // change when the pool grows. The incremental Hoare sessions also survive
-  // on purpose — their premise handles and verdict memos are keyed by
-  // terms/ids whose meaning is round-independent, and reusing them is the
-  // whole point of the incremental gate.
+  return Out;
 }
 
 void ProofAutomaton::setEnabledMask(std::vector<bool> Mask) {
@@ -134,7 +120,6 @@ void ProofAutomaton::setEnabledMask(std::vector<bool> Mask) {
          "mask size mismatch");
   assert((Mask.empty() || Mask[FalseId]) && "false must stay enabled");
   EnabledMask = std::move(Mask);
-  invalidateCaches();
 }
 
 size_t ProofAutomaton::numEnabled() const {

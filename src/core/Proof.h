@@ -31,8 +31,10 @@ namespace core {
 /// Canonical sorted vector of predicate ids.
 using PredSet = std::vector<uint32_t>;
 
-/// Grows monotonically across refinement rounds; transitions are computed
-/// lazily with caching.
+/// Grows monotonically across refinement rounds. step() always runs its
+/// Hoare queries; callers that revisit a (set, letter) pair memoize the
+/// answer themselves (the verifier's DFS keeps a per-round table keyed by
+/// interned set ids, see docs/PERF.md §3).
 class ProofAutomaton {
 public:
   ProofAutomaton(smt::TermManager &TM, smt::QueryEngine &QE,
@@ -64,20 +66,17 @@ public:
   /// Predicates implied by the program's initial constraint.
   PredSet initialSet();
 
-  /// Proof transition: largest T with {conj(S)} a {conj(T)} valid.
-  const PredSet &step(const PredSet &S, automata::Letter L);
+  /// Proof transition: largest T with {conj(S)} a {conj(T)} valid. Not
+  /// memoized: every call issues one Hoare query per enabled predicate.
+  PredSet step(const PredSet &S, automata::Letter L);
 
   bool isFalse(const PredSet &S) const {
     return !S.empty() && S.front() == FalseId;
   }
 
-  /// Drops transition/initial caches; called when the pool grows between
-  /// rounds (cached steps would otherwise miss new predicates).
-  void invalidateCaches();
-
   /// Restricts the automaton to a subset of the pool: disabled predicates
   /// are never produced by initialSet()/step(). Used by proof minimization.
-  /// An empty mask (the default) enables everything. Invalidates caches.
+  /// An empty mask (the default) enables everything.
   void setEnabledMask(std::vector<bool> Mask);
   /// Number of currently enabled predicates.
   size_t numEnabled() const;
@@ -90,8 +89,9 @@ public:
   /// transition letter (plus one for initialSet), with each negated
   /// postcondition prepared once as an assumable premise and each
   /// precondition one more assumption. Verdicts match the fresh-instance
-  /// path exactly; sessions survive invalidateCaches(), which is where the
-  /// cross-round savings come from. Off by default.
+  /// path exactly; sessions live as long as the automaton, so they carry
+  /// over from round to round, which is where the savings come from. Off
+  /// by default.
   void setIncremental(bool On) { Incremental = On; }
 
 private:
@@ -122,7 +122,6 @@ private:
   std::vector<bool> EnabledMask; // empty = all enabled
   std::map<smt::Term, uint32_t> PredicateIds;
   std::map<PredSet, smt::Term> ConjCache;
-  std::map<std::pair<PredSet, automata::Letter>, PredSet> StepCache;
   std::map<std::pair<automata::Letter, uint32_t>, smt::Term> WpCache;
   std::map<automata::Letter, HoareSession> LetterSessions;
   HoareSession InitSession;

@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 
 using namespace seqver;
 using namespace seqver::core;
@@ -79,7 +78,8 @@ public:
   Impl(const prog::ConcurrentProgram &P, const VerifierConfig &Config)
       : P(P), Config(Config), TM(P.termManager()), QE(TM), Fresh(TM),
         Commut(P, QE, Config.CommutMode), Proof(TM, QE, Fresh, P),
-        SleepIntern(P.numLetters()) {
+        SleepIntern(P.numLetters()),
+        CommutWords((P.numLetters() + 63) / 64) {
     if (!Config.StaticTier)
       Commut.disableStaticTier();
     Commut.setStatistics(&Stats);
@@ -216,6 +216,17 @@ private:
   void expand(const Key &Node, std::vector<std::pair<Letter, Key>> &Out);
   bool isKnownUseless(const Key &Node);
   void markUseless(const Key &Node);
+  /// The proof step of Node.Phi under L, as an interned set id.
+  uint32_t stepPhi(uint32_t Phi, Letter L);
+  /// The (Phi, L) row of the commutativity table, allocated on first use:
+  /// CommutWords words of known letters, then CommutWords words of the
+  /// letters known to commute. Valid until the next call.
+  uint64_t *commutRow(uint32_t Phi, Letter L);
+  /// Conditional commutativity of L and B under the assertion set whose
+  /// conjunction is PhiTerm (null for "true"), memoized in L's Row.
+  bool commutesUnder(uint64_t *Row, Term PhiTerm, Letter L, Letter B);
+  /// The conjunction term of interned set Phi, built on first request.
+  Term phiTerm(uint32_t Phi);
   size_t minimizeProof();
 
   /// External cancellation (the portfolio race), as opposed to running out
@@ -267,23 +278,66 @@ private:
   InternTable<ProductState> StateIntern;
   InternTable<PredSet> PhiIntern;
 
-  /// Cross-round useless-state cache: (Q, Ctx, Sleep) -> interned ids of
-  /// assertion sets under which the node was counterexample-free.
+  /// Cross-round useless-state cache: (Q, Ctx, Sleep) -> the interned ids
+  /// of assertion sets under which the node was counterexample-free. The
+  /// key interns to a dense entry id; each entry heads a linked list, in
+  /// insertion order, of at most MaxUselessEntriesPerNode links in one
+  /// shared arena.
   struct UselessKey {
     uint32_t Q;
     PreferenceOrder::Context Ctx;
     SleepSetId Sleep;
     bool operator==(const UselessKey &) const = default;
-  };
-  struct UselessKeyHash {
-    size_t operator()(const UselessKey &K) const {
-      return static_cast<size_t>(
-          hashCombine(hashCombine(hashMix(K.Q), K.Ctx), K.Sleep));
+    uint64_t hash() const {
+      return hashCombine(hashCombine(hashMix(Q), Ctx), Sleep);
     }
   };
-  std::unordered_map<UselessKey, std::vector<uint32_t>, UselessKeyHash>
-      UselessCache;
+  struct UselessList {
+    uint32_t Head = NoLink; ///< First link in UselessCache::Links.
+    uint32_t Tail = NoLink; ///< Last link, for in-order appends.
+    uint32_t Count = 0;
+  };
+  struct UselessLink {
+    uint32_t Phi;
+    uint32_t Next;
+  };
+  static constexpr uint32_t NoLink = UINT32_MAX;
   static constexpr size_t MaxUselessEntriesPerNode = 8;
+  struct UselessCache {
+    InternTable<UselessKey> Index;
+    std::vector<UselessList> Lists; ///< Aligned with Index ids.
+    std::vector<UselessLink> Links;
+  };
+  UselessCache Useless;
+
+  /// Per-round proof-step table: (Phi id, letter) -> successor Phi id.
+  /// StepRow maps a Phi id to the offset of its row of numLetters() slots
+  /// in StepNext (NoStep until the id is first stepped this round). Cleared
+  /// at the top of every round: the pool grows between rounds, and proof
+  /// minimization changes the enabled mask between its rounds.
+  static constexpr uint32_t NoStep = UINT32_MAX;
+  std::vector<uint32_t> StepRow;
+  std::vector<uint32_t> StepNext;
+
+  /// Cross-round proof-sensitive commutativity table: per (Phi id, letter
+  /// L), two letter bitsets of CommutWords words each in CommutBits — the
+  /// letters B whose answer is known, then those that commute with L under
+  /// Phi. Rows are allocated on first use through the hashed index, so
+  /// memory follows the pairs the DFS actually expands. Answers stay valid
+  /// across rounds: a Phi id always names the same assertion set.
+  InternTable<uint64_t> CommutIndex;
+  std::vector<uint64_t> CommutBits;
+  size_t CommutWords;
+  /// Conjunction term per Phi id (null until first built).
+  std::vector<Term> PhiTerms;
+
+  /// DFS counters, added to Stats once at the end of run().
+  uint64_t SleepPruned = 0;
+  uint64_t PersistentPruned = 0;
+  uint64_t UselessHits = 0;
+
+  /// Scratch list of a node's enabled letters, reused across expansions.
+  std::vector<Letter> Enabled;
 
   /// Per-round DFS state, kept as members so refinement rounds reuse the
   /// allocations: the visited index (hashed, interning Keys to dense ids
@@ -310,28 +364,97 @@ private:
 bool Verifier::Impl::isKnownUseless(const Key &Node) {
   if (!Config.UselessStateCache)
     return false;
-  auto It = UselessCache.find({Node.Q, Node.Ctx, Node.Sleep});
-  if (It == UselessCache.end())
+  uint32_t Id = Useless.Index.lookup({Node.Q, Node.Ctx, Node.Sleep});
+  if (Id == InternTable<UselessKey>::NotFound)
     return false;
   const PredSet &Phi = PhiIntern[Node.Phi];
-  for (uint32_t Recorded : It->second)
+  for (uint32_t Link = Useless.Lists[Id].Head; Link != NoLink;
+       Link = Useless.Links[Link].Next) {
+    uint32_t Recorded = Useless.Links[Link].Phi;
     if (Recorded == Node.Phi || isSubset(PhiIntern[Recorded], Phi)) {
-      Stats.add("useless_cache_hits");
+      ++UselessHits;
       return true;
     }
+  }
   return false;
 }
 
 void Verifier::Impl::markUseless(const Key &Node) {
   if (!Config.UselessStateCache)
     return;
-  auto &Entries = UselessCache[{Node.Q, Node.Ctx, Node.Sleep}];
+  bool Inserted = false;
+  uint32_t Id =
+      Useless.Index.intern({Node.Q, Node.Ctx, Node.Sleep}, &Inserted);
+  if (Inserted)
+    Useless.Lists.emplace_back();
+  UselessList &Entries = Useless.Lists[Id];
   const PredSet &Phi = PhiIntern[Node.Phi];
-  for (uint32_t Recorded : Entries)
+  for (uint32_t Link = Entries.Head; Link != NoLink;
+       Link = Useless.Links[Link].Next) {
+    uint32_t Recorded = Useless.Links[Link].Phi;
     if (Recorded == Node.Phi || isSubset(PhiIntern[Recorded], Phi))
       return; // already subsumed
-  if (Entries.size() < MaxUselessEntriesPerNode)
-    Entries.push_back(Node.Phi);
+  }
+  if (Entries.Count >= MaxUselessEntriesPerNode)
+    return;
+  uint32_t Link = static_cast<uint32_t>(Useless.Links.size());
+  Useless.Links.push_back({Node.Phi, NoLink});
+  if (Entries.Tail == NoLink)
+    Entries.Head = Link;
+  else
+    Useless.Links[Entries.Tail].Next = Link;
+  Entries.Tail = Link;
+  ++Entries.Count;
+}
+
+uint32_t Verifier::Impl::stepPhi(uint32_t Phi, Letter L) {
+  if (Phi >= StepRow.size())
+    StepRow.resize(PhiIntern.size(), NoStep);
+  uint32_t Row = StepRow[Phi];
+  if (Row == NoStep) {
+    Row = static_cast<uint32_t>(StepNext.size());
+    StepRow[Phi] = Row;
+    StepNext.resize(StepNext.size() + P.numLetters(), NoStep);
+  }
+  uint32_t &Next = StepNext[Row + L];
+  if (Next == NoStep)
+    Next = PhiIntern.intern(Proof.step(PhiIntern[Phi], L));
+  return Next;
+}
+
+Term Verifier::Impl::phiTerm(uint32_t Phi) {
+  if (Phi >= PhiTerms.size())
+    PhiTerms.resize(PhiIntern.size(), nullptr);
+  Term &T = PhiTerms[Phi];
+  if (!T)
+    T = Proof.conjunction(PhiIntern[Phi]);
+  return T;
+}
+
+uint64_t *Verifier::Impl::commutRow(uint32_t Phi, Letter L) {
+  bool Inserted = false;
+  uint32_t Row = CommutIndex.intern((uint64_t(Phi) << 32) | L, &Inserted);
+  if (Inserted)
+    CommutBits.resize(CommutBits.size() + 2 * CommutWords, 0);
+  return CommutBits.data() + size_t(Row) * 2 * CommutWords;
+}
+
+bool Verifier::Impl::commutesUnder(uint64_t *Row, Term PhiTerm, Letter L,
+                                   Letter B) {
+  uint64_t *Known = Row;
+  uint64_t *Commutes = Row + CommutWords;
+  uint64_t Bit = uint64_t(1) << (B % 64);
+  if (Known[B / 64] & Bit)
+    return Commutes[B / 64] & Bit;
+  bool Answer = Commut.commutesUnder(PhiTerm, L, B);
+  // A stopped run's answer may be the checker's conservative placeholder
+  // (it skips its own cache then too); a later round must re-ask.
+  if (stopRequested())
+    return Answer;
+  Known[B / 64] |= Bit;
+  if (Answer)
+    Commutes[B / 64] |= Bit;
+  return Answer;
 }
 
 void Verifier::Impl::expand(const Key &Node,
@@ -348,26 +471,27 @@ void Verifier::Impl::expand(const Key &Node,
 
   const Bitset *Membrane = nullptr;
   if (Persistent)
-    Membrane = &Persistent->compute(StateIntern[Node.Q], Node.Ctx);
+    Membrane = &Persistent->compute(Node.Q, StateIntern[Node.Q], Node.Ctx);
 
-  std::vector<Letter> Enabled;
-  Enabled.reserve(Successors.size());
+  Enabled.clear();
   for (const auto &[L, NextQ] : Successors) {
     (void)NextQ;
     Enabled.push_back(L);
   }
 
-  Term Phi =
-      Config.ProofSensitive ? Proof.conjunction(PhiIntern[Node.Phi]) : nullptr;
+  Term Phi = Config.ProofSensitive ? phiTerm(Node.Phi) : nullptr;
+  // Without proof sensitivity every answer is unconditional: key them all
+  // under one assertion-set id.
+  uint32_t CommutPhi = Config.ProofSensitive ? Node.Phi : 0;
 
   Out.reserve(Successors.size());
   for (auto &[L, NextQ] : Successors) {
     if (Config.UseSleepSets && SleepIntern.test(Node.Sleep, L)) {
-      Stats.add("sleep_pruned");
+      ++SleepPruned;
       continue;
     }
     if (Membrane && !Membrane->test(L)) {
-      Stats.add("persistent_pruned");
+      ++PersistentPruned;
       continue;
     }
     Key Next;
@@ -377,6 +501,7 @@ void Verifier::Impl::expand(const Key &Node,
     Next.Sleep = SleepSetInterner::EmptySetId;
     if (Config.UseSleepSets) {
       SleepIntern.scratchClear();
+      uint64_t *Row = nullptr; // fetched at the first candidate
       for (Letter B : Enabled) {
         if (B == L)
           continue;
@@ -384,15 +509,14 @@ void Verifier::Impl::expand(const Key &Node,
                          Config.Order->less(Node.Ctx, B, L);
         if (!Candidate)
           continue;
-        bool Commutes = Config.ProofSensitive
-                            ? Commut.commutesUnder(Phi, L, B)
-                            : Commut.commutes(L, B);
-        if (Commutes)
+        if (!Row)
+          Row = commutRow(CommutPhi, L);
+        if (commutesUnder(Row, Phi, L, B))
           SleepIntern.scratchSet(B);
       }
       Next.Sleep = SleepIntern.internScratch();
     }
-    Next.Phi = PhiIntern.intern(Proof.step(PhiIntern[Node.Phi], L));
+    Next.Phi = stepPhi(Node.Phi, L);
     Out.emplace_back(L, Next);
   }
 
@@ -414,6 +538,8 @@ Verifier::Impl::RoundResult Verifier::Impl::checkProofRound() {
   Visited.clear();
   VisitStatus.clear();
   Stack.clear();
+  StepRow.clear();
+  StepNext.clear();
   uint64_t Steps = 0;
   bool ExitCtex = false;
   const bool CheckPost = P.hasPostCondition();
@@ -584,7 +710,6 @@ VerificationResult Verifier::Impl::run() {
       Result.V = stoppedVerdict(Verdict::Unknown);
       break;
     }
-    Proof.invalidateCaches();
     if (Round == Config.MaxRounds)
       Result.V = Verdict::Timeout;
   }
@@ -598,6 +723,14 @@ VerificationResult Verifier::Impl::run() {
       if (Proof.predicateEnabled(Id)) // full pool unless minimized
         Result.ProofAssertions.push_back(TM.str(Proof.predicate(Id)));
   Stats.add("rounds", Result.Rounds);
+  // The DFS counters (proof minimization's rounds included), registered
+  // only when they fired, as the event-site bumps they replace did.
+  if (SleepPruned)
+    Stats.add("sleep_pruned", static_cast<int64_t>(SleepPruned));
+  if (PersistentPruned)
+    Stats.add("persistent_pruned", static_cast<int64_t>(PersistentPruned));
+  if (UselessHits)
+    Stats.add("useless_cache_hits", static_cast<int64_t>(UselessHits));
   if (HaveFingerprint) {
     if (WarmStarted && Result.V == Verdict::Correct &&
         CachedRounds > static_cast<uint64_t>(Result.Rounds))
@@ -693,8 +826,8 @@ size_t Verifier::Impl::minimizeProof() {
   // full pool (weaker pools may reach more states), so disable it here.
   bool SavedCacheFlag = Config.UselessStateCache;
   Config.UselessStateCache = false;
-  auto SavedCache = std::move(UselessCache);
-  UselessCache.clear();
+  UselessCache Saved = std::move(Useless);
+  Useless = {};
 
   std::vector<bool> Mask(Proof.numPredicates(), true);
   for (uint32_t Id = 1; Id < Proof.numPredicates(); ++Id) {
@@ -710,6 +843,6 @@ size_t Verifier::Impl::minimizeProof() {
   size_t Minimized = Proof.numEnabled();
 
   Config.UselessStateCache = SavedCacheFlag;
-  UselessCache = std::move(SavedCache);
+  Useless = std::move(Saved);
   return Minimized;
 }

@@ -104,16 +104,16 @@ bool PersistentSetComputer::locationsConflict(int ThreadI, Location LocI,
                       .test(LocJ);
 }
 
-const Bitset &
-PersistentSetComputer::compute(const ProductState &S,
-                               PreferenceOrder::Context Ctx) {
-  PreferenceOrder::Context Key =
+const Bitset &PersistentSetComputer::compute(uint32_t StateId,
+                                             const ProductState &S,
+                                             PreferenceOrder::Context Ctx) {
+  PreferenceOrder::Context KeyCtx =
       (Order && Order->isPositional()) ? Ctx : PreferenceOrder::InitialContext;
-  auto CacheKey = std::make_pair(S, Key);
-  auto It = Cache.find(CacheKey);
-  if (It != Cache.end()) {
+  bool Inserted = false;
+  uint32_t Id = CacheIndex.intern({StateId, KeyCtx}, &Inserted);
+  if (!Inserted) {
     ++CacheHits;
-    return It->second;
+    return Membranes[Id];
   }
 
   int N = P.numThreads();
@@ -250,7 +250,7 @@ PersistentSetComputer::compute(const ProductState &S,
       for (Letter L : Enabled[static_cast<size_t>(T)])
         M.set(L);
 
-  auto [InsertedIt, DidInsert] = Cache.emplace(CacheKey, std::move(M));
-  (void)DidInsert;
-  return InsertedIt->second;
+  assert(Id == Membranes.size() && "membranes are aligned with key ids");
+  Membranes.push_back(std::move(M));
+  return Membranes.back();
 }

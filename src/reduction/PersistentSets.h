@@ -24,13 +24,12 @@
 #include "support/Bitset.h"
 #include "support/InternTable.h"
 
-#include <unordered_map>
 #include <vector>
 
 namespace seqver {
 namespace red {
 
-/// Per-program computer with caching by (product state, order context).
+/// Per-program computer with caching by (product-state id, order context).
 class PersistentSetComputer {
 public:
   /// Order may be null: then no compatibility edges are added (pure
@@ -46,8 +45,11 @@ public:
                             nullptr);
 
   /// The weakly persistent membrane for state S under order context Ctx, as
-  /// a bitset over letters.
-  const Bitset &compute(const prog::ProductState &S,
+  /// a bitset over letters. StateId is the caller's interned id of S: the
+  /// cache is keyed by it (plus Ctx, for positional orders only), so every
+  /// call must map one state to one id. The reference stays valid until
+  /// the next compute() call.
+  const Bitset &compute(uint32_t StateId, const prog::ProductState &S,
                         PreferenceOrder::Context Ctx);
 
   /// Location-level conflict relation  l_i ~~> l_j  (Sec. 7.1): some action
@@ -72,21 +74,17 @@ private:
   /// Threads containing assert statements (error locations).
   std::vector<bool> HasAssert;
 
-  /// (product state, order context) -> membrane, hashed: the computer is
-  /// consulted once per DFS expansion, so the pre-change ordered-map lookup
-  /// (O(log n) location-vector compares per probe) was hot-path cost.
-  /// unordered_map keeps references to values stable across inserts, which
-  /// compute()'s by-reference return relies on.
-  struct CacheKeyHash {
-    size_t operator()(const std::pair<prog::ProductState,
-                                      PreferenceOrder::Context> &K) const {
-      return static_cast<size_t>(
-          hashCombine(DefaultInternHash{}(K.first), K.second));
-    }
+  /// (state id, order context) -> membrane: the key interns to a dense id
+  /// that indexes Membranes. Non-positional orders key every state under
+  /// the initial context, since their membranes ignore it.
+  struct CacheKey {
+    uint32_t StateId;
+    PreferenceOrder::Context Ctx;
+    bool operator==(const CacheKey &) const = default;
+    uint64_t hash() const { return hashCombine(hashMix(StateId), Ctx); }
   };
-  std::unordered_map<std::pair<prog::ProductState, PreferenceOrder::Context>,
-                     Bitset, CacheKeyHash>
-      Cache;
+  InternTable<CacheKey> CacheIndex;
+  std::vector<Bitset> Membranes;
   uint64_t CacheHits = 0;
 };
 

@@ -229,7 +229,7 @@ struct ProgramReductionAutomaton {
     // pi_S(q, S) = pi(q) \ S: membership filter below.
     const Bitset *Membrane = nullptr;
     if (Persistent)
-      Membrane = &Persistent->compute(Products[St.QId], St.Ctx);
+      Membrane = &Persistent->compute(St.QId, Products[St.QId], St.Ctx);
 
     Enabled.clear();
     for (const auto &[L, Next] : Successors) {
@@ -260,7 +260,8 @@ struct ProgramReductionAutomaton {
 };
 
 /// Pre-change combined reduction, ordered-map index and by-value sleep
-/// sets. Kept verbatim for the SEQVER_LEGACY_INDEX differential path.
+/// sets, for the SEQVER_LEGACY_INDEX differential path. Its only interning
+/// is the local state-id table the membrane cache is keyed by.
 struct LegacyProgramReductionAutomaton {
   using StateType =
       std::tuple<prog::ProductState, Bitset, PreferenceOrder::Context>;
@@ -270,6 +271,8 @@ struct LegacyProgramReductionAutomaton {
   CommutativityChecker &Commut;
   const ReductionConfig &Config;
   PersistentSetComputer *Persistent; // null if disabled
+  /// Ids for the membrane cache, which is keyed by state id.
+  InternTable<prog::ProductState> StateIds;
 
   StateType initialState() {
     return {P.initialProductState(), Bitset(P.numLetters()),
@@ -289,7 +292,7 @@ struct LegacyProgramReductionAutomaton {
 
     const Bitset *Membrane = nullptr;
     if (Persistent)
-      Membrane = &Persistent->compute(Q, Ctx);
+      Membrane = &Persistent->compute(StateIds.intern(Q), Q, Ctx);
 
     std::vector<Letter> Enabled;
     Enabled.reserve(Successors.size());
@@ -334,7 +337,7 @@ ProgramReduction seqver::red::buildReduction(const prog::ConcurrentProgram &P,
   ProgramReduction Result;
   if (Config.LegacyIndex) {
     LegacyProgramReductionAutomaton Impl{P, Order, Commut, Config,
-                                         Persistent.get()};
+                                         Persistent.get(), {}};
     auto Materialized = automata::materializeOrdered(
         Impl, P.numLetters(), Config.MaxStates, &Result.Overflow);
     Result.Automaton = std::move(Materialized.Automaton);
