@@ -78,8 +78,7 @@ public:
   Impl(const prog::ConcurrentProgram &P, const VerifierConfig &Config)
       : P(P), Config(Config), TM(P.termManager()), QE(TM), Fresh(TM),
         Commut(P, QE, Config.CommutMode), Proof(TM, QE, Fresh, P),
-        SleepIntern(P.numLetters()),
-        CommutWords((P.numLetters() + 63) / 64) {
+        SleepIntern(P.numLetters()) {
     if (!Config.StaticTier)
       Commut.disableStaticTier();
     Commut.setStatistics(&Stats);
@@ -219,8 +218,8 @@ private:
   /// The proof step of Node.Phi under L, as an interned set id.
   uint32_t stepPhi(uint32_t Phi, Letter L);
   /// The (Phi, L) row of the commutativity table, allocated on first use:
-  /// CommutWords words of known letters, then CommutWords words of the
-  /// letters known to commute. Valid until the next call.
+  /// a letter set of known partners, then one of those known to commute,
+  /// each SleepIntern.wordsPerSet() words. Valid until the next call.
   uint64_t *commutRow(uint32_t Phi, Letter L);
   /// Conditional commutativity of L and B under the assertion set whose
   /// conjunction is PhiTerm (null for "true"), memoized in L's Row.
@@ -320,14 +319,12 @@ private:
   std::vector<uint32_t> StepNext;
 
   /// Cross-round proof-sensitive commutativity table: per (Phi id, letter
-  /// L), two letter bitsets of CommutWords words each in CommutBits — the
-  /// letters B whose answer is known, then those that commute with L under
-  /// Phi. Rows are allocated on first use through the hashed index, so
+  /// L), two letter bitsets in CommutBits — the letters B whose answer is
+  /// known, then those that commute with L under Phi. Rows are allocated on first use through the hashed index, so
   /// memory follows the pairs the DFS actually expands. Answers stay valid
   /// across rounds: a Phi id always names the same assertion set.
   InternTable<uint64_t> CommutIndex;
   std::vector<uint64_t> CommutBits;
-  size_t CommutWords;
   /// Conjunction term per Phi id (null until first built).
   std::vector<Term> PhiTerms;
 
@@ -434,15 +431,16 @@ Term Verifier::Impl::phiTerm(uint32_t Phi) {
 uint64_t *Verifier::Impl::commutRow(uint32_t Phi, Letter L) {
   bool Inserted = false;
   uint32_t Row = CommutIndex.intern((uint64_t(Phi) << 32) | L, &Inserted);
+  size_t RowWords = 2 * SleepIntern.wordsPerSet();
   if (Inserted)
-    CommutBits.resize(CommutBits.size() + 2 * CommutWords, 0);
-  return CommutBits.data() + size_t(Row) * 2 * CommutWords;
+    CommutBits.resize(CommutBits.size() + RowWords, 0);
+  return CommutBits.data() + size_t(Row) * RowWords;
 }
 
 bool Verifier::Impl::commutesUnder(uint64_t *Row, Term PhiTerm, Letter L,
                                    Letter B) {
   uint64_t *Known = Row;
-  uint64_t *Commutes = Row + CommutWords;
+  uint64_t *Commutes = Row + SleepIntern.wordsPerSet();
   uint64_t Bit = uint64_t(1) << (B % 64);
   if (Known[B / 64] & Bit)
     return Commutes[B / 64] & Bit;
