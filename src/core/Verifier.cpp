@@ -292,7 +292,7 @@ private:
     }
   };
   struct UselessList {
-    uint32_t Head = NoLink; ///< First link in UselessCache::Links.
+    uint32_t Head = NoLink; ///< First link in UselessTable::Links.
     uint32_t Tail = NoLink; ///< Last link, for in-order appends.
     uint32_t Count = 0;
   };
@@ -302,12 +302,12 @@ private:
   };
   static constexpr uint32_t NoLink = UINT32_MAX;
   static constexpr size_t MaxUselessEntriesPerNode = 8;
-  struct UselessCache {
+  struct UselessTable {
     InternTable<UselessKey> Index;
     std::vector<UselessList> Lists; ///< Aligned with Index ids.
     std::vector<UselessLink> Links;
   };
-  UselessCache Useless;
+  UselessTable Useless;
 
   /// Per-round proof-step table: (Phi id, letter) -> successor Phi id.
   /// StepRow maps a Phi id to the offset of its row of numLetters() slots
@@ -824,7 +824,7 @@ size_t Verifier::Impl::minimizeProof() {
   // full pool (weaker pools may reach more states), so disable it here.
   bool SavedCacheFlag = Config.UselessStateCache;
   Config.UselessStateCache = false;
-  UselessCache Saved = std::move(Useless);
+  UselessTable Saved = std::move(Useless);
   Useless = {};
 
   std::vector<bool> Mask(Proof.numPredicates(), true);
