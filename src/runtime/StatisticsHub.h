@@ -57,8 +57,9 @@ public:
     return Sinks.size();
   }
 
-  /// Sum of all sinks. Only meaningful once the writing workers joined;
-  /// each sink is single-writer, so after the join this is a plain read.
+  /// All sinks merged: counters summed, gauges (setMax names) maxed. Only
+  /// meaningful once the writing workers joined; each sink is
+  /// single-writer, so after the join this is a plain read.
   Statistics merged() const {
     std::lock_guard<std::mutex> Lock(M);
     Statistics Out;

@@ -14,13 +14,19 @@
 /// Readers use get(), which returns 0 for never-bumped names, so absent
 /// and zero counters are indistinguishable by design.
 ///
+/// A name written by setMax() is a gauge (peak_visited, ...): mergeFrom()
+/// takes the larger value for it instead of the sum, so a merge of several
+/// runs' sinks reports the largest peak, not the sum of the peaks.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SEQVER_SUPPORT_STATISTICS_H
 #define SEQVER_SUPPORT_STATISTICS_H
 
 #include <cstdint>
+#include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 
 namespace seqver {
@@ -32,6 +38,7 @@ public:
     Counters[Name] += Delta;
   }
   void setMax(const std::string &Name, int64_t Value) {
+    Gauges.insert(Name);
     int64_t &Slot = Counters[Name];
     if (Value > Slot)
       Slot = Value;
@@ -43,14 +50,18 @@ public:
   const std::map<std::string, int64_t> &all() const { return Counters; }
 
   void mergeFrom(const Statistics &Other) {
-    for (const auto &[Name, Value] : Other.Counters)
-      Counters[Name] += Value;
+    Gauges.insert(Other.Gauges.begin(), Other.Gauges.end());
+    for (const auto &[Name, Value] : Other.Counters) {
+      int64_t &Slot = Counters[Name];
+      Slot = Gauges.count(Name) ? std::max(Slot, Value) : Slot + Value;
+    }
   }
 
   std::string str() const;
 
 private:
   std::map<std::string, int64_t> Counters;
+  std::set<std::string> Gauges; ///< Names written by setMax().
 };
 
 } // namespace seqver

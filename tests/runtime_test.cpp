@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
@@ -301,6 +302,22 @@ TEST(ParallelPortfolioTest, QueuedLosersOfAOneJobRaceNeverStart) {
     EXPECT_TRUE(E.Result.Stats.all().empty()) << E.OrderName;
   }
   EXPECT_EQ(R.Merged.get("portfolio_cancelled_orders"), 4);
+}
+
+/// peak_visited is a gauge (written by setMax): the hub merge of a race
+/// reports the largest worker's peak, not the sum over the workers.
+TEST(ParallelPortfolioTest, MergedPeakIsTheLargestWorkerPeak) {
+  core::VerifierConfig Base;
+  Base.TimeoutSeconds = 60;
+  ParallelConfig PC;
+  PC.Jobs = 4;
+  ParallelPortfolioResult R =
+      runPortfolioParallel(workloads::bluetoothSource(2), Base, PC);
+  int64_t MaxPeak = 0;
+  for (const core::PortfolioEntry &E : R.Entries)
+    MaxPeak = std::max(MaxPeak, E.Result.Stats.get("peak_visited"));
+  EXPECT_GT(MaxPeak, 0);
+  EXPECT_EQ(R.Merged.get("peak_visited"), MaxPeak);
 }
 
 /// Every order of mutex_bug_2 run alone is incorrect, so a loser the race

@@ -146,6 +146,27 @@ TEST(StatisticsTest, MergeFrom) {
   EXPECT_EQ(A.get("y"), 1);
 }
 
+TEST(StatisticsTest, MergeFromTakesTheMaxOfGauges) {
+  Statistics A, B;
+  A.setMax("peak", 10);
+  B.setMax("peak", 7);
+  B.setMax("only_b_peak", 4);
+  B.add("x", 3);
+  A.add("x", 2);
+  A.mergeFrom(B);
+  EXPECT_EQ(A.get("peak"), 10);
+  EXPECT_EQ(A.get("only_b_peak"), 4);
+  EXPECT_EQ(A.get("x"), 5);
+  // A gauge stays a gauge through a merge into an empty bag.
+  Statistics C, D;
+  C.mergeFrom(A);
+  D.setMax("peak", 12);
+  D.mergeFrom(C);
+  EXPECT_EQ(D.get("peak"), 12);
+  C.mergeFrom(D);
+  EXPECT_EQ(C.get("peak"), 12);
+}
+
 TEST(StringUtilsTest, JoinSplit) {
   EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(join({}, ", "), "");
