@@ -1,10 +1,9 @@
 //===- bench/bench_hotpath.cpp - Hot-path interning microbenchmark --------===//
 ///
-/// Measures the state-index hot path before and after the interning
-/// overhaul (docs/PERF.md): the generic sleep-set construction and the
-/// program-reduction construction are timed against the pre-change ordered
-/// std::map index (kept behind materializeOrdered / LegacyIndex), and the
-/// verifier's DFS is profiled over the tier-1 suites under the "seq" order.
+/// Measures the state-index hot path (docs/PERF.md): the generic sleep-set
+/// construction and the program-reduction construction are timed on their
+/// hashed InternTable index, and the verifier's DFS is profiled over the
+/// tier-1 suites under the "seq" order.
 ///
 /// Writes a flat BENCH_hotpath.json (path in argv[1], default
 /// BENCH_hotpath.json in the working directory) that tools/check_perf.sh
@@ -18,7 +17,6 @@
 #include "program/CfgBuilder.h"
 #include "reduction/SleepSet.h"
 #include "smt/Solver.h"
-#include "support/Statistics.h"
 #include "support/StringUtils.h"
 #include "support/Timer.h"
 
@@ -34,7 +32,7 @@ using seqver::automata::Letter;
 namespace {
 
 //===----------------------------------------------------------------------===//
-// Part 1: generic sleep-set construction, hashed vs ordered index
+// Part 1: generic sleep-set construction
 //===----------------------------------------------------------------------===//
 
 /// Non-positional order preferring smaller letter indices; the generic
@@ -69,7 +67,7 @@ struct TimedStates {
   }
 };
 
-TimedStates runSynthetic(bool LegacyIndex) {
+TimedStates runSynthetic() {
   constexpr uint32_t kBaseStates = 512;
   constexpr uint32_t kLetters = 12;
   constexpr uint32_t kCap = 40000;
@@ -83,8 +81,7 @@ TimedStates runSynthetic(bool LegacyIndex) {
   for (int Rep = 0; Rep < kReps; ++Rep) {
     Timer T;
     bool Overflow = false;
-    Dfa R = red::sleepSetAutomaton(Base, Order, Commutes, kCap, &Overflow,
-                                   LegacyIndex);
+    Dfa R = red::sleepSetAutomaton(Base, Order, Commutes, kCap, &Overflow);
     Out.Seconds += T.seconds();
     Out.States = R.numStates();
   }
@@ -92,20 +89,13 @@ TimedStates runSynthetic(bool LegacyIndex) {
 }
 
 //===----------------------------------------------------------------------===//
-// Part 2: program-reduction construction, hashed vs ordered index
+// Part 2: program-reduction construction
 //===----------------------------------------------------------------------===//
 
-struct ReductionResultPair {
-  TimedStates Hashed;
-  TimedStates Legacy;
-  Statistics Stats; // counters of the hashed builds
-};
-
-/// Times buildReduction over a set of tier-1 sources with both indices. The
-/// commutativity cache is warmed by one untimed build first, so both
-/// variants pay identical (zero) commutativity cost and the measurement
-/// isolates the state index.
-ReductionResultPair runReductionBench() {
+/// Times buildReduction over a set of tier-1 sources. The commutativity
+/// cache is warmed by one untimed build first, so the timed builds pay no
+/// commutativity cost and the measurement isolates the state index.
+TimedStates runReductionBench() {
   std::vector<std::string> Sources;
   for (const auto &W : workloads::svcompLikeSuite())
     Sources.push_back(W.Source);
@@ -113,7 +103,7 @@ ReductionResultPair runReductionBench() {
   Sources.push_back(workloads::bluetoothSource(4));
 
   constexpr int kReps = 3;
-  ReductionResultPair Out;
+  TimedStates Out;
   for (const std::string &Source : Sources) {
     smt::TermManager TM;
     prog::BuildResult B = prog::buildFromSource(Source, TM);
@@ -124,25 +114,14 @@ ReductionResultPair runReductionBench() {
         *B.Program, QE, red::CommutativityChecker::Mode::Static);
     red::SequentialOrder Order(*B.Program);
 
-    red::ReductionConfig Warm;
-    Warm.LegacyIndex = false;
-    Warm.Stats = &Out.Stats;
-    red::buildReduction(*B.Program, &Order, Commut, Warm); // warm cache
+    red::ReductionConfig Config;
+    red::buildReduction(*B.Program, &Order, Commut, Config); // warm cache
 
     for (int Rep = 0; Rep < kReps; ++Rep) {
-      red::ReductionConfig Legacy;
-      Legacy.LegacyIndex = true;
-      Timer TL;
-      auto RL = red::buildReduction(*B.Program, &Order, Commut, Legacy);
-      Out.Legacy.Seconds += TL.seconds();
-      Out.Legacy.States += RL.Automaton.numStates();
-
-      red::ReductionConfig Hashed;
-      Hashed.LegacyIndex = false;
-      Timer TH;
-      auto RH = red::buildReduction(*B.Program, &Order, Commut, Hashed);
-      Out.Hashed.Seconds += TH.seconds();
-      Out.Hashed.States += RH.Automaton.numStates();
+      Timer T;
+      auto R = red::buildReduction(*B.Program, &Order, Commut, Config);
+      Out.Seconds += T.seconds();
+      Out.States += R.Automaton.numStates();
     }
   }
   return Out;
@@ -173,50 +152,22 @@ int main(int argc, char **argv) {
   std::string OutPath = argc > 1 ? argv[1] : "BENCH_hotpath.json";
 
   std::printf("== Hot-path interning microbenchmark ==\n");
-  std::printf("(per-instance timeout %.0fs; legacy = pre-interning ordered "
-              "std::map state index)\n\n",
-              benchTimeout());
+  std::printf("(per-instance timeout %.0fs)\n\n", benchTimeout());
 
-  // Part 1: synthetic sleep-set construction. Legacy first so the hashed
-  // run cannot benefit from warmer caches.
-  TimedStates SynLegacy = runSynthetic(/*LegacyIndex=*/true);
-  TimedStates SynHashed = runSynthetic(/*LegacyIndex=*/false);
-  double SynSpeedup = SynLegacy.Seconds > 0 && SynHashed.Seconds > 0
-                          ? SynLegacy.Seconds / SynHashed.Seconds
-                          : 0;
-  std::printf("-- generic sleep-set automaton (synthetic, %u states) --\n",
-              SynHashed.States);
-  std::vector<int> W1 = {10, 10, 12, 14};
-  printTableHeader({"index", "wall(s)", "states", "states/s"}, W1);
-  printTableRow({"legacy", formatDouble(SynLegacy.Seconds, 3),
-                 std::to_string(SynLegacy.States),
-                 formatDouble(SynLegacy.statesPerSec(), 0)},
+  // Parts 1 and 2: the two reduction constructions.
+  TimedStates Syn = runSynthetic();
+  TimedStates Red = runReductionBench();
+  std::vector<int> W1 = {34, 10, 12, 14};
+  printTableHeader({"construction", "wall(s)", "states", "states/s"}, W1);
+  printTableRow({"generic sleep-set automaton", formatDouble(Syn.Seconds, 3),
+                 std::to_string(Syn.States),
+                 formatDouble(Syn.statesPerSec(), 0)},
                 W1);
-  printTableRow({"hashed", formatDouble(SynHashed.Seconds, 3),
-                 std::to_string(SynHashed.States),
-                 formatDouble(SynHashed.statesPerSec(), 0)},
+  printTableRow({"program reduction (tier-1 sum)",
+                 formatDouble(Red.Seconds, 3), std::to_string(Red.States),
+                 formatDouble(Red.statesPerSec(), 0)},
                 W1);
-  std::printf("speedup (hashed over legacy): %.2fx\n\n", SynSpeedup);
-  if (SynLegacy.States != SynHashed.States)
-    std::printf("WARNING: index paths disagree on state count!\n");
-
-  // Part 2: program-reduction construction over tier-1 sources.
-  ReductionResultPair Red = runReductionBench();
-  double RedSpeedup = Red.Legacy.Seconds > 0 && Red.Hashed.Seconds > 0
-                          ? Red.Legacy.Seconds / Red.Hashed.Seconds
-                          : 0;
-  std::printf("-- program reduction construction (tier-1 sources, summed) "
-              "--\n");
-  printTableHeader({"index", "wall(s)", "states", "states/s"}, W1);
-  printTableRow({"legacy", formatDouble(Red.Legacy.Seconds, 3),
-                 std::to_string(Red.Legacy.States),
-                 formatDouble(Red.Legacy.statesPerSec(), 0)},
-                W1);
-  printTableRow({"hashed", formatDouble(Red.Hashed.Seconds, 3),
-                 std::to_string(Red.Hashed.States),
-                 formatDouble(Red.Hashed.statesPerSec(), 0)},
-                W1);
-  std::printf("speedup (hashed over legacy): %.2fx\n\n", RedSpeedup);
+  std::printf("\n");
 
   // Part 3: full verifier DFS over the tier-1 suites ("seq" order: a single
   // deterministic configuration, so wall time is comparable run-to-run).
@@ -255,18 +206,12 @@ int main(int argc, char **argv) {
   std::fprintf(F, "{\n");
   JsonWriter J{F};
   J.field("schema_version", static_cast<int64_t>(1));
-  J.field("synthetic_states", static_cast<int64_t>(SynHashed.States));
-  J.field("synthetic_wall_s_hashed", SynHashed.Seconds);
-  J.field("synthetic_wall_s_legacy", SynLegacy.Seconds);
-  J.field("synthetic_states_per_sec_hashed", SynHashed.statesPerSec());
-  J.field("synthetic_states_per_sec_legacy", SynLegacy.statesPerSec());
-  J.field("synthetic_speedup", SynSpeedup);
-  J.field("reduction_states", static_cast<int64_t>(Red.Hashed.States));
-  J.field("reduction_wall_s_hashed", Red.Hashed.Seconds);
-  J.field("reduction_wall_s_legacy", Red.Legacy.Seconds);
-  J.field("reduction_states_per_sec_hashed", Red.Hashed.statesPerSec());
-  J.field("reduction_states_per_sec_legacy", Red.Legacy.statesPerSec());
-  J.field("reduction_speedup", RedSpeedup);
+  J.field("synthetic_states", static_cast<int64_t>(Syn.States));
+  J.field("synthetic_wall_s_hashed", Syn.Seconds);
+  J.field("synthetic_states_per_sec_hashed", Syn.statesPerSec());
+  J.field("reduction_states", static_cast<int64_t>(Red.States));
+  J.field("reduction_wall_s_hashed", Red.Seconds);
+  J.field("reduction_states_per_sec_hashed", Red.statesPerSec());
   J.field("suite_instances", static_cast<int64_t>(Suite.size()));
   J.field("suite_successful", static_cast<int64_t>(A.Successful));
   J.field("suite_wall_s", SuiteWall);
@@ -282,12 +227,5 @@ int main(int argc, char **argv) {
   std::fprintf(F, "\n}\n");
   std::fclose(F);
   std::printf("\nwrote %s\n", OutPath.c_str());
-
-  // Differential sanity: both indices must build identical automata.
-  if (SynLegacy.States != SynHashed.States ||
-      Red.Legacy.States != Red.Hashed.States) {
-    std::fprintf(stderr, "FAIL: legacy and hashed state counts differ\n");
-    return 1;
-  }
   return 0;
 }

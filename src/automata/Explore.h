@@ -16,16 +16,11 @@
 ///
 /// States are indexed by an open-addressing InternTable keyed by hash +
 /// equality (docs/PERF.md): a lookup costs one hash of the structured value
-/// and O(1) probes instead of the O(log n) deep lexicographic compares of
-/// the pre-interning std::map index. StateType hashes via
+/// and O(1) probes instead of O(log n) deep lexicographic compares in an
+/// ordered index. StateType hashes via
 /// DefaultInternHash — integral types, vectors of integrals, or a
 /// `uint64_t hash() const` member; state structs interning their heavy
 /// components (sleep sets) down to ids get constant-time hashing.
-///
-/// materializeOrdered keeps the pre-change std::map index (StateType with
-/// operator<). It exists for the SEQVER_LEGACY_INDEX differential path and
-/// the bench_hotpath before/after comparison only; both paths add states in
-/// identical BFS discovery order, so they build identical automata.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +31,6 @@
 #include "support/InternTable.h"
 
 #include <deque>
-#include <map>
 
 namespace seqver {
 namespace automata {
@@ -52,14 +46,11 @@ template <typename ImplicitAutomaton> struct Materialized {
 
 /// Breadth-first materialization. MaxStates guards against accidental
 /// state-space blowups (0 = unlimited); exceeding it aborts via the returned
-/// Overflow flag so that callers can fall back or report. ReserveHint
-/// pre-sizes the state index and worklist for callers that can estimate the
-/// final state count (e.g. re-materialization after a refinement round).
+/// Overflow flag so that callers can fall back or report.
 template <typename ImplicitAutomaton>
 Materialized<ImplicitAutomaton>
 materialize(ImplicitAutomaton &Impl, uint32_t NumLetters,
-            uint32_t MaxStates = 0, bool *Overflow = nullptr,
-            uint32_t ReserveHint = 0) {
+            uint32_t MaxStates = 0, bool *Overflow = nullptr) {
   using StateType = typename ImplicitAutomaton::StateType;
   Materialized<ImplicitAutomaton> Result;
   Result.Automaton = Dfa(NumLetters);
@@ -70,8 +61,6 @@ materialize(ImplicitAutomaton &Impl, uint32_t NumLetters,
   // Dfa state indices by construction.
   InternTable<StateType> Index;
   std::deque<State> Worklist;
-  if (ReserveHint != 0)
-    Index.reserve(ReserveHint);
 
   auto GetState = [&](const StateType &S) -> State {
     bool Inserted = false;
@@ -105,53 +94,6 @@ materialize(ImplicitAutomaton &Impl, uint32_t NumLetters,
     }
   }
   Result.States = Index.takeValues();
-  return Result;
-}
-
-/// Pre-change ordered-map materialization (StateType with operator<); the
-/// SEQVER_LEGACY_INDEX differential-test path. Behaviorally identical to
-/// materialize() — both discover states in the same BFS order — just with
-/// the old O(log n) deep-compare index and per-pop state copy.
-template <typename ImplicitAutomaton>
-Materialized<ImplicitAutomaton>
-materializeOrdered(ImplicitAutomaton &Impl, uint32_t NumLetters,
-                   uint32_t MaxStates = 0, bool *Overflow = nullptr) {
-  using StateType = typename ImplicitAutomaton::StateType;
-  Materialized<ImplicitAutomaton> Result;
-  Result.Automaton = Dfa(NumLetters);
-  if (Overflow)
-    *Overflow = false;
-
-  std::map<StateType, State> Index;
-  std::deque<State> Worklist;
-
-  auto GetState = [&](const StateType &S) -> State {
-    auto It = Index.find(S);
-    if (It != Index.end())
-      return It->second;
-    State Id = Result.Automaton.addState(Impl.isAccepting(S));
-    Index.emplace(S, Id);
-    Result.States.push_back(S);
-    Worklist.push_back(Id);
-    return Id;
-  };
-
-  Result.Automaton.setInitial(GetState(Impl.initialState()));
-  while (!Worklist.empty()) {
-    State Id = Worklist.front();
-    Worklist.pop_front();
-    // Copy: successors() interleaves with GetState growing Result.States.
-    StateType Current = Result.States[Id];
-    for (auto &[L, Next] : Impl.successors(Current)) {
-      if (MaxStates != 0 && Result.Automaton.numStates() >= MaxStates &&
-          Index.find(Next) == Index.end()) {
-        if (Overflow)
-          *Overflow = true;
-        return Result;
-      }
-      Result.Automaton.addTransition(Id, L, GetState(Next));
-    }
-  }
   return Result;
 }
 

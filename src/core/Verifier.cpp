@@ -40,6 +40,13 @@ std::string seqver::core::verdictName(Verdict V) {
 
 namespace {
 
+/// Cap on the invariant atoms seeded into the predicate pool per analysis
+/// (bounds per-step Hoare query growth).
+constexpr size_t SeedPredicateCap = 64;
+/// Cap on the predicates read from, or written to, one proof-cache record:
+/// bounds the Hoare query burst an adversarial or bloated record can cause.
+constexpr size_t CachePredicateCap = 4096;
+
 /// True iff Sub (sorted) is a subset of Super (sorted).
 bool isSubset(const PredSet &Sub, const PredSet &Super) {
   return std::includes(Super.begin(), Super.end(), Sub.begin(), Sub.end());
@@ -130,11 +137,11 @@ public:
       Commut.setInvariantContext(std::move(Context));
     if (Config.SeedProof) {
       size_t Seeded = Proof.addSeedPredicates(
-          Oct->seedPredicates(Config.MaxSeedPredicates));
+          Oct->seedPredicates(SeedPredicateCap));
       Stats.add("seeded_predicates", static_cast<int64_t>(Seeded));
       if (Karr) {
         size_t KarrSeeded = Proof.addSeedPredicates(
-            Karr->seedPredicates(Config.MaxSeedPredicates));
+            Karr->seedPredicates(SeedPredicateCap));
         Stats.add("karr_seeded", static_cast<int64_t>(KarrSeeded));
       }
     }
@@ -158,7 +165,7 @@ public:
         PO.KnownVars = &Known;
         std::vector<Term> Seeds;
         size_t Take =
-            std::min(Stored.Predicates.size(), Config.MaxCachePredicates);
+            std::min(Stored.Predicates.size(), CachePredicateCap);
         Seeds.reserve(Take);
         for (size_t I = 0; I < Take; ++I) {
           persist::ParseResult PR =
@@ -679,13 +686,16 @@ VerificationResult Verifier::Impl::run() {
         if (Assertion == TM.mkTrue())
           continue;
         Proof.addPredicate(Assertion);
-        if (Config.AtomPredicates) {
-          std::vector<Term> Atoms;
-          collectAtoms(Assertion, Atoms);
-          for (Term Atom : Atoms) {
-            Proof.addPredicate(Atom);
-            Proof.addPredicate(TM.mkNot(Atom));
-          }
+        // The atoms of each assertion and their negations join the pool
+        // too. This predicate-abstraction-style enrichment lets the
+        // Floyd/Hoare automaton generalize across loop iterations, standing
+        // in for the interpolant generalization of the paper's
+        // implementation.
+        std::vector<Term> Atoms;
+        collectAtoms(Assertion, Atoms);
+        for (Term Atom : Atoms) {
+          Proof.addPredicate(Atom);
+          Proof.addPredicate(TM.mkNot(Atom));
         }
       }
     };
@@ -748,8 +758,8 @@ VerificationResult Verifier::Impl::run() {
                           : static_cast<uint64_t>(Result.Rounds);
       if (Result.V == Verdict::Correct)
         Stored.Predicates = Result.ProofAssertions;
-      if (Stored.Predicates.size() > Config.MaxCachePredicates)
-        Stored.Predicates.resize(Config.MaxCachePredicates);
+      if (Stored.Predicates.size() > CachePredicateCap)
+        Stored.Predicates.resize(CachePredicateCap);
       uint64_t Evicted = 0;
       if (Cache.prepare() && Cache.store(FP, Stored, &Evicted)) {
         Stats.add("cache_stores");

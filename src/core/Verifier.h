@@ -58,12 +58,6 @@ struct VerifierConfig {
   bool ProofSensitive = true;
   /// Reuse of counterexample-free subtrees across rounds.
   bool UselessStateCache = true;
-  /// Also add the atomic sub-formulas of each wp-chain assertion (and their
-  /// negations) to the predicate pool. This predicate-abstraction-style
-  /// enrichment lets the Floyd/Hoare automaton generalize across loop
-  /// iterations, standing in for the interpolant generalization of the
-  /// paper's implementation.
-  bool AtomPredicates = true;
   /// After a Correct verdict, greedily drop pool predicates while the proof
   /// check still succeeds, reporting the shrunk pool as MinimizedProofSize.
   /// This makes proof sizes comparable across predicate sources (wp chains
@@ -102,8 +96,6 @@ struct VerifierConfig {
   /// keep round counts comparable with the paper's unseeded refinement
   /// loop.
   bool SeedProof = false;
-  /// Cap on seeded predicates (bounds per-step Hoare query growth).
-  size_t MaxSeedPredicates = 64;
   /// Directory of the persistent proof cache (docs/PERSIST.md); empty
   /// disables it. On construction the verifier fingerprints the program
   /// and, on a cache hit, warm-starts the proof automaton with the stored
@@ -113,9 +105,6 @@ struct VerifierConfig {
   /// written back (the predicate pool for Correct, an empty record for
   /// Incorrect).
   std::string CacheDir;
-  /// Cap on predicates accepted from one cache record (bounds the Hoare
-  /// query burst an adversarial or bloated record can cause).
-  size_t MaxCachePredicates = 4096;
   /// Shared commutativity oracle (reduction/CommutOracle.h): a second-level
   /// memo table under manager-independent canonical keys, installed into
   /// this verifier's CommutativityChecker. Non-owning; the caller keeps the

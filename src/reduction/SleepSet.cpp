@@ -7,22 +7,12 @@
 #include "support/InternTable.h"
 
 #include <cassert>
-#include <cstdlib>
-#include <tuple>
 
 using namespace seqver;
 using namespace seqver::red;
 using seqver::automata::Dfa;
 using seqver::automata::Letter;
 using seqver::automata::State;
-
-bool seqver::red::legacyIndexRequested() {
-  static const bool Requested = [] {
-    const char *Env = std::getenv("SEQVER_LEGACY_INDEX");
-    return Env && Env[0] != '\0' && !(Env[0] == '0' && Env[1] == '\0');
-  }();
-  return Requested;
-}
 
 namespace {
 
@@ -45,22 +35,6 @@ SleepSetId internSuccessorSleepSet(SleepSetInterner &Intern,
       Intern.scratchSet(B);
   }
   return Intern.internScratch();
-}
-
-/// Bitset flavor of the same definition; the SEQVER_LEGACY_INDEX path.
-Bitset successorSleepSet(const std::vector<Letter> &Enabled, const Bitset &S,
-                         Letter A, const PreferenceOrder &Order,
-                         PreferenceOrder::Context Ctx,
-                         const std::function<bool(Letter, Letter)> &Commutes,
-                         uint32_t NumLetters) {
-  Bitset Out(NumLetters);
-  for (Letter B : Enabled) {
-    if (B == A)
-      continue;
-    if ((S.test(B) || Order.less(Ctx, B, A)) && Commutes(A, B))
-      Out.set(B);
-  }
-  return Out;
 }
 
 /// Implicit sleep set automaton over an explicit Dfa. Sleep sets are
@@ -107,49 +81,11 @@ struct DfaSleepAutomaton {
   }
 };
 
-/// Pre-change generic construction: structured states carrying the sleep
-/// set by value, ordered-map index. Kept verbatim for SEQVER_LEGACY_INDEX.
-struct LegacyDfaSleepAutomaton {
-  using StateType = std::tuple<State, Bitset, PreferenceOrder::Context>;
-
-  const Dfa &A;
-  const PreferenceOrder &Order;
-  const CommutesFn &Commutes;
-
-  StateType initialState() {
-    return {A.initial(), Bitset(A.numLetters()),
-            PreferenceOrder::InitialContext};
-  }
-  bool isAccepting(const StateType &S) { return A.isAccepting(std::get<0>(S)); }
-  std::vector<std::pair<Letter, StateType>> successors(const StateType &St) {
-    auto &[Q, Sleep, Ctx] = St;
-    std::vector<std::pair<Letter, StateType>> Out;
-    std::vector<Letter> Enabled = A.enabledLetters(Q);
-    for (Letter L : Enabled) {
-      if (Sleep.test(L))
-        continue;
-      State Next = *A.step(Q, L);
-      Bitset NextSleep = successorSleepSet(Enabled, Sleep, L, Order, Ctx,
-                                           Commutes, A.numLetters());
-      Out.emplace_back(
-          L, StateType{Next, std::move(NextSleep), Order.advance(Ctx, L)});
-    }
-    return Out;
-  }
-};
-
 } // namespace
 
 Dfa seqver::red::sleepSetAutomaton(const Dfa &A, const PreferenceOrder &Order,
                                    const CommutesFn &Commutes,
-                                   uint32_t MaxStates, bool *Overflow,
-                                   bool LegacyIndex) {
-  if (LegacyIndex) {
-    LegacyDfaSleepAutomaton Impl{A, Order, Commutes};
-    auto Result = automata::materializeOrdered(Impl, A.numLetters(), MaxStates,
-                                               Overflow);
-    return std::move(Result.Automaton);
-  }
+                                   uint32_t MaxStates, bool *Overflow) {
   DfaSleepAutomaton Impl(A, Order, Commutes);
   auto Result = automata::materialize(Impl, A.numLetters(), MaxStates,
                                       Overflow);
@@ -259,69 +195,6 @@ struct ProgramReductionAutomaton {
   }
 };
 
-/// Pre-change combined reduction, ordered-map index and by-value sleep
-/// sets, for the SEQVER_LEGACY_INDEX differential path. Its only interning
-/// is the local state-id table the membrane cache is keyed by.
-struct LegacyProgramReductionAutomaton {
-  using StateType =
-      std::tuple<prog::ProductState, Bitset, PreferenceOrder::Context>;
-
-  const prog::ConcurrentProgram &P;
-  const PreferenceOrder *Order;
-  CommutativityChecker &Commut;
-  const ReductionConfig &Config;
-  PersistentSetComputer *Persistent; // null if disabled
-  /// Ids for the membrane cache, which is keyed by state id.
-  InternTable<prog::ProductState> StateIds;
-
-  StateType initialState() {
-    return {P.initialProductState(), Bitset(P.numLetters()),
-            PreferenceOrder::InitialContext};
-  }
-  bool isAccepting(const StateType &S) {
-    const prog::ProductState &Q = std::get<0>(S);
-    return Config.Mode == prog::AcceptMode::Error ? P.isErrorState(Q)
-                                                  : P.isAllExitState(Q);
-  }
-  std::vector<std::pair<Letter, StateType>> successors(const StateType &St) {
-    const auto &[Q, Sleep, Ctx] = St;
-    std::vector<std::pair<Letter, StateType>> Out;
-    auto Successors = P.successors(Q); // empty for error states
-    if (Successors.empty())
-      return Out;
-
-    const Bitset *Membrane = nullptr;
-    if (Persistent)
-      Membrane = &Persistent->compute(StateIds.intern(Q), Q, Ctx);
-
-    std::vector<Letter> Enabled;
-    Enabled.reserve(Successors.size());
-    for (const auto &[L, Next] : Successors) {
-      (void)Next;
-      Enabled.push_back(L);
-    }
-
-    for (const auto &[L, Next] : Successors) {
-      if (Sleep.test(L))
-        continue;
-      if (Membrane && !Membrane->test(L))
-        continue;
-      Bitset NextSleep(P.numLetters());
-      if (Config.UseSleepSets) {
-        assert(Order && "sleep sets require a preference order");
-        NextSleep = successorSleepSet(
-            Enabled, Sleep, L, *Order, Ctx,
-            [this](Letter A, Letter B) { return Commut.commutes(A, B); },
-            P.numLetters());
-      }
-      PreferenceOrder::Context NextCtx =
-          Order ? Order->advance(Ctx, L) : PreferenceOrder::InitialContext;
-      Out.emplace_back(L, StateType{Next, std::move(NextSleep), NextCtx});
-    }
-    return Out;
-  }
-};
-
 } // namespace
 
 ProgramReduction seqver::red::buildReduction(const prog::ConcurrentProgram &P,
@@ -335,21 +208,9 @@ ProgramReduction seqver::red::buildReduction(const prog::ConcurrentProgram &P,
     Persistent =
         std::make_unique<PersistentSetComputer>(P, Commut, Order);
   ProgramReduction Result;
-  if (Config.LegacyIndex) {
-    LegacyProgramReductionAutomaton Impl{P, Order, Commut, Config,
-                                         Persistent.get(), {}};
-    auto Materialized = automata::materializeOrdered(
-        Impl, P.numLetters(), Config.MaxStates, &Result.Overflow);
-    Result.Automaton = std::move(Materialized.Automaton);
-    if (Config.Stats)
-      Config.Stats->add("reduction_states",
-                        static_cast<int64_t>(Result.Automaton.numStates()));
-    return Result;
-  }
   ProgramReductionAutomaton Impl(P, Order, Commut, Config, Persistent.get());
-  auto Materialized =
-      automata::materialize(Impl, P.numLetters(), Config.MaxStates,
-                            &Result.Overflow, Config.ReserveHint);
+  auto Materialized = automata::materialize(Impl, P.numLetters(),
+                                            Config.MaxStates, &Result.Overflow);
   Result.Automaton = std::move(Materialized.Automaton);
   if (Config.Stats) {
     Config.Stats->add("reduction_states",

@@ -7,10 +7,15 @@
 /// (and by order context, for positional orders). It recognizes exactly the
 /// lexicographic reduction red_lex(<)(L(A)) (Thm. 5.3).
 ///
-/// Two entry points:
+/// Two entry points, each with one hashed state index:
 ///  - sleepSetAutomaton: generic, over an explicit Dfa (tests, Fig. 3);
 ///  - buildReduction: over a concurrent program, optionally composed with
 ///    the pi-reduction by weakly persistent membranes (Sec. 6.2, Thm. 6.6).
+///
+/// The first is the second's oracle: with sleep sets only, buildReduction
+/// builds exactly sleepSetAutomaton(P.explicitProduct(Mode), ...), state
+/// for state, since both add states in the same BFS order
+/// (tests/hotpath_differential_test.cpp).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,23 +38,15 @@ namespace red {
 using CommutesFn =
     std::function<bool(automata::Letter, automata::Letter)>;
 
-/// True when the SEQVER_LEGACY_INDEX environment variable is set (to
-/// anything but "0"): routes the reduction constructions through the
-/// pre-interning ordered std::map state index. Test-only escape hatch; the
-/// differential suite asserts both paths build identical automata.
-bool legacyIndexRequested();
-
 /// Generic letter order for the generic construction: non-program-specific
 /// orders used by tests subclass PreferenceOrder directly.
 ///
-/// Materializes S_<(A). MaxStates = 0 means unlimited. LegacyIndex selects
-/// the pre-change ordered-map construction (see legacyIndexRequested()).
+/// Materializes S_<(A). MaxStates = 0 means unlimited.
 automata::Dfa sleepSetAutomaton(const automata::Dfa &A,
                                 const PreferenceOrder &Order,
                                 const CommutesFn &Commutes,
                                 uint32_t MaxStates = 0,
-                                bool *Overflow = nullptr,
-                                bool LegacyIndex = false);
+                                bool *Overflow = nullptr);
 
 /// Applies a pi-reduction (Sec. 6.1) to A: keeps from each state only the
 /// edges allowed by Pi(state).
@@ -65,13 +62,6 @@ struct ReductionConfig {
   prog::AcceptMode Mode = prog::AcceptMode::Error;
   /// Safety valve for materialization; 0 = unlimited.
   uint32_t MaxStates = 0;
-  /// Pre-sizes the state index/arena when the caller can estimate the
-  /// final state count (e.g. the size of the previous round's reduction).
-  uint32_t ReserveHint = 0;
-  /// Pre-change ordered-map state index (SEQVER_LEGACY_INDEX test path);
-  /// defaults to the environment toggle so external differential runs need
-  /// no code changes.
-  bool LegacyIndex = legacyIndexRequested();
   /// Optional counter sink: reduction_states, sleepset_intern_hits/misses,
   /// sleepset_distinct, sleepset_inline_repr (see docs/PERF.md).
   Statistics *Stats = nullptr;

@@ -288,7 +288,7 @@ public:
     return Id;
   }
 
-  /// Conveniences for tests and the legacy differential path.
+  /// Bitset round trip; used only by tests (intern_test.cpp).
   SleepSetId intern(const Bitset &Set) {
     assert(Set.capacity() == Letters && "alphabet mismatch");
     scratchClear();

@@ -1,12 +1,12 @@
 #!/usr/bin/env sh
 # Perf-regression gate: runs the bench_hotpath microbenchmark (generic
-# sleep-set construction and program-reduction construction against the
-# pre-interning std::map index, plus the verifier DFS over the tier-1
-# suites), writes BENCH_hotpath.json into the build directory, and compares
-# the suite wall time against the checked-in baseline at the repo root.
-# Fails when the measured wall time regresses by more than the tolerance
-# (default 15%, override with SEQVER_PERF_TOLERANCE_PCT). A single retry
-# absorbs scheduler noise before declaring a regression.
+# sleep-set construction, program-reduction construction, and the verifier
+# DFS over the tier-1 suites), writes BENCH_hotpath.json into the build
+# directory, and compares the suite wall time against the checked-in
+# baseline at the repo root. Fails when the measured wall time regresses
+# by more than the tolerance (default 15%, override with
+# SEQVER_PERF_TOLERANCE_PCT). A single retry absorbs scheduler noise
+# before declaring a regression.
 #
 # Usage: tools/check_perf.sh [build-dir] [--update]
 #   build-dir  defaults to ./build
@@ -254,9 +254,4 @@ if [ -x "$INCR_BENCH" ] && [ -f "$INCR_BASELINE" ]; then
   fi
 fi
 
-# Informational: the interning speedups this run measured (the baseline
-# acceptance bar was >= 1.5x on the reduction construction).
-SYN=$(json_field "$CURRENT" synthetic_speedup)
-RED=$(json_field "$CURRENT" reduction_speedup)
-echo "interning speedups: synthetic=${SYN}x reduction=${RED}x"
 echo "OK: no perf regression beyond ${TOLERANCE}%"
