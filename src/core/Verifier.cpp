@@ -339,9 +339,14 @@ private:
   uint64_t SleepPruned = 0;
   uint64_t PersistentPruned = 0;
   uint64_t UselessHits = 0;
+  /// Visited nodes summed over every round, whatever its outcome.
+  uint64_t VisitedAllRounds = 0;
 
-  /// Scratch list of a node's enabled letters, reused across expansions.
+  /// Scratch of expand(), reused across expansions: the node's enabled
+  /// edges, their letters, and the successor state under construction.
+  std::vector<prog::Edge> Edges;
   std::vector<Letter> Enabled;
+  ProductState NextState;
 
   /// Per-round DFS state, kept as members so refinement rounds reuse the
   /// allocations: the visited index (hashed, interning Keys to dense ids
@@ -470,8 +475,8 @@ void Verifier::Impl::expand(const Key &Node,
 
   // References into the intern arenas are refetched after any intern()
   // below: interning a successor component may grow an arena and move it.
-  auto Successors = P.successors(StateIntern[Node.Q]); // empty at errors
-  if (Successors.empty())
+  P.enabledEdges(StateIntern[Node.Q], Edges); // empty at errors
+  if (Edges.empty())
     return;
 
   const Bitset *Membrane = nullptr;
@@ -479,18 +484,20 @@ void Verifier::Impl::expand(const Key &Node,
     Membrane = &Persistent->compute(Node.Q, StateIntern[Node.Q], Node.Ctx);
 
   Enabled.clear();
-  for (const auto &[L, NextQ] : Successors) {
-    (void)NextQ;
-    Enabled.push_back(L);
-  }
+  for (const prog::Edge &E : Edges)
+    Enabled.push_back(E.Letter);
+  // A successor is Node's state with one thread moved: set that slot of
+  // the scratch copy, intern it, and put the slot back.
+  NextState = StateIntern[Node.Q];
 
   Term Phi = Config.ProofSensitive ? phiTerm(Node.Phi) : nullptr;
   // Without proof sensitivity every answer is unconditional: key them all
   // under one assertion-set id.
   uint32_t CommutPhi = Config.ProofSensitive ? Node.Phi : 0;
 
-  Out.reserve(Successors.size());
-  for (auto &[L, NextQ] : Successors) {
+  Out.reserve(Edges.size());
+  for (const prog::Edge &E : Edges) {
+    Letter L = E.Letter;
     if (Config.UseSleepSets && SleepIntern.test(Node.Sleep, L)) {
       ++SleepPruned;
       continue;
@@ -500,7 +507,11 @@ void Verifier::Impl::expand(const Key &Node,
       continue;
     }
     Key Next;
-    Next.Q = StateIntern.intern(NextQ);
+    prog::Location &Slot = NextState[static_cast<size_t>(E.Thread)];
+    prog::Location Here = Slot;
+    Slot = E.Target;
+    Next.Q = StateIntern.intern(NextState);
+    Slot = Here;
     Next.Ctx = Config.Order ? Config.Order->advance(Node.Ctx, L)
                             : PreferenceOrder::InitialContext;
     Next.Sleep = SleepSetInterner::EmptySetId;
@@ -526,12 +537,19 @@ void Verifier::Impl::expand(const Key &Node,
   }
 
   // Explore most-preferred letters first: minimal counterexamples surface
-  // early and match the reduction's representatives.
+  // early and match the reduction's representatives. A stable insertion
+  // sort in place: the list is a handful of letters long, and
+  // std::stable_sort would allocate a merge buffer per node.
   if (Config.Order) {
-    std::stable_sort(Out.begin(), Out.end(),
-                     [this, &Node](const auto &A, const auto &B) {
-                       return Config.Order->less(Node.Ctx, A.first, B.first);
-                     });
+    for (size_t I = 1; I < Out.size(); ++I) {
+      std::pair<Letter, Key> Moving = Out[I];
+      size_t J = I;
+      for (; J > 0 && Config.Order->less(Node.Ctx, Moving.first,
+                                         Out[J - 1].first);
+           --J)
+        Out[J] = Out[J - 1];
+      Out[J] = Moving;
+    }
   }
 }
 
@@ -549,6 +567,12 @@ Verifier::Impl::RoundResult Verifier::Impl::checkProofRound() {
   bool ExitCtex = false;
   const bool CheckPost = P.hasPostCondition();
   Term Post = P.postCondition();
+
+  // Every exit after the first push records the round's visited count.
+  auto EndRound = [&] {
+    Stats.setMax("peak_visited", static_cast<int64_t>(Visited.size()));
+    VisitedAllRounds += Visited.size();
+  };
 
   auto AcquireSuccs = [&]() -> std::vector<std::pair<Letter, Key>> {
     if (SuccPool.empty())
@@ -608,7 +632,7 @@ Verifier::Impl::RoundResult Verifier::Impl::checkProofRound() {
     // innermost poll point of the cancellation contract (docs/RUNTIME.md).
     if ((++Steps & 0x3FF) == 0 &&
         (stopRequested() || Visited.size() > Config.MaxVisitedPerRound)) {
-      Stats.setMax("peak_visited", static_cast<int64_t>(Visited.size()));
+      EndRound();
       return {RoundResult::Kind::Aborted, {}};
     }
     Frame &Top = Stack.back();
@@ -620,7 +644,7 @@ Verifier::Impl::RoundResult Verifier::Impl::checkProofRound() {
         for (size_t I = 1; I < Stack.size(); ++I)
           Trace.push_back(Stack[I].InLetter);
         Trace.push_back(L);
-        Stats.setMax("peak_visited", static_cast<int64_t>(Visited.size()));
+        EndRound();
         return {RoundResult::Kind::Counterexample, std::move(Trace),
                 ExitCtex};
       }
@@ -639,7 +663,7 @@ Verifier::Impl::RoundResult Verifier::Impl::checkProofRound() {
     if (Propagate && !Stack.empty())
       Stack.back().TouchedUnknown = true;
   }
-  Stats.setMax("peak_visited", static_cast<int64_t>(Visited.size()));
+  EndRound();
   Stats.add("visited_total", static_cast<int64_t>(Visited.size()));
   return {RoundResult::Kind::ProofValid, {}};
 }
@@ -739,6 +763,7 @@ VerificationResult Verifier::Impl::run() {
     Stats.add("persistent_pruned", static_cast<int64_t>(PersistentPruned));
   if (UselessHits)
     Stats.add("useless_cache_hits", static_cast<int64_t>(UselessHits));
+  Stats.add("visited_all_rounds", static_cast<int64_t>(VisitedAllRounds));
   if (HaveFingerprint) {
     if (WarmStarted && Result.V == Verdict::Correct &&
         CachedRounds > static_cast<uint64_t>(Result.Rounds))

@@ -218,30 +218,30 @@ bool ConcurrentProgram::isAllExitState(const ProductState &S) const {
   return true;
 }
 
-std::vector<std::pair<Letter, ProductState>>
-ConcurrentProgram::successors(const ProductState &S) const {
-  std::vector<std::pair<Letter, ProductState>> Out;
+void ConcurrentProgram::enabledEdges(const ProductState &S,
+                                     std::vector<Edge> &Out) const {
+  Out.clear();
   if (isErrorState(S))
-    return Out; // error states absorb: the violation witness is complete
-  for (size_t I = 0; I < Threads.size(); ++I) {
-    for (const auto &[L, To] : Threads[I].Edges[S[I]]) {
-      ProductState Next = S;
-      Next[I] = To;
-      Out.emplace_back(L, std::move(Next));
-    }
-  }
-  std::sort(Out.begin(), Out.end(),
-            [](const auto &A, const auto &B) { return A.first < B.first; });
-  return Out;
+    return; // error states absorb: the violation witness is complete
+  for (size_t I = 0; I < Threads.size(); ++I)
+    for (const auto &[L, To] : Threads[I].Edges[S[I]])
+      Out.push_back({L, static_cast<int>(I), To});
+  // Letters are distinct across threads, so the order is total.
+  std::sort(Out.begin(), Out.end(), [](const Edge &A, const Edge &B) {
+    return A.Letter < B.Letter;
+  });
 }
 
-std::vector<Letter>
-ConcurrentProgram::threadEnabled(int ThreadId, const ProductState &S) const {
-  std::vector<Letter> Out;
-  const ThreadCfg &T = Threads[static_cast<size_t>(ThreadId)];
-  for (const auto &[L, To] : T.Edges[S[static_cast<size_t>(ThreadId)]]) {
-    (void)To;
-    Out.push_back(L);
+std::vector<std::pair<Letter, ProductState>>
+ConcurrentProgram::successors(const ProductState &S) const {
+  std::vector<Edge> Enabled;
+  enabledEdges(S, Enabled);
+  std::vector<std::pair<Letter, ProductState>> Out;
+  Out.reserve(Enabled.size());
+  for (const Edge &E : Enabled) {
+    ProductState Next = S;
+    Next[static_cast<size_t>(E.Thread)] = E.Target;
+    Out.emplace_back(E.Letter, std::move(Next));
   }
   return Out;
 }

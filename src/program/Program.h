@@ -84,6 +84,14 @@ struct ThreadCfg {
 /// Product state: one location per thread.
 using ProductState = std::vector<Location>;
 
+/// One enabled move of a product state: thread Thread takes its edge
+/// labelled Letter to location Target; every other thread stays put.
+struct Edge {
+  automata::Letter Letter = 0;
+  int Thread = -1;
+  Location Target = 0;
+};
+
 /// Acceptance mode for the explicit product automaton.
 enum class AcceptMode {
   AllExit, ///< all threads at a terminal, non-error location (L(P), Sec. 3)
@@ -156,14 +164,15 @@ public:
   bool isErrorState(const ProductState &S) const;
   bool isAllExitState(const ProductState &S) const;
 
-  /// Letters enabled in S (error states have no successors), in increasing
-  /// letter order.
+  /// The edges enabled in S, in increasing letter order, written into the
+  /// caller's list Out (cleared first; left empty at error states, which
+  /// have no successors). A caller that keeps Out across calls enumerates
+  /// without allocating.
+  void enabledEdges(const ProductState &S, std::vector<Edge> &Out) const;
+
+  /// Successor states of S, one per enabledEdges() entry, in the same order.
   std::vector<std::pair<automata::Letter, ProductState>>
   successors(const ProductState &S) const;
-
-  /// Enabled letters of one thread at its current location in S.
-  std::vector<automata::Letter> threadEnabled(int ThreadId,
-                                              const ProductState &S) const;
 
   /// Explicit interleaving product automaton (exponential; tests and small
   /// experiments only). MaxStates = 0 means unlimited.

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
-#include <functional>
 
 using namespace seqver;
 using namespace seqver::red;
@@ -116,31 +115,36 @@ const Bitset &PersistentSetComputer::compute(uint32_t StateId,
     return Membranes[Id];
   }
 
-  int N = P.numThreads();
-  std::vector<std::vector<Letter>> Enabled(static_cast<size_t>(N));
-  std::vector<bool> Active(static_cast<size_t>(N), false);
-  for (int T = 0; T < N; ++T) {
-    Enabled[static_cast<size_t>(T)] = P.threadEnabled(T, S);
-    Active[static_cast<size_t>(T)] =
-        !Enabled[static_cast<size_t>(T)].empty();
-  }
+  // The letters a thread enables are the edges at its current location.
+  size_t N = static_cast<size_t>(P.numThreads());
+  auto EnabledAt = [&](size_t T) -> const auto & {
+    return P.thread(static_cast<int>(T)).Edges[S[T]];
+  };
+  auto IsActive = [&](size_t T) { return !EnabledAt(T).empty(); };
 
   // Build the conflict graph over active threads: edge I -> J when thread J
   // must be included whenever I is (conflict or preference compatibility).
-  std::vector<std::vector<int>> Adj(static_cast<size_t>(N));
-  for (int I = 0; I < N; ++I) {
-    if (!Active[static_cast<size_t>(I)])
+  Adj.resize(N);
+  RevAdj.resize(N);
+  for (size_t I = 0; I < N; ++I) {
+    Adj[I].clear();
+    RevAdj[I].clear();
+  }
+  for (size_t I = 0; I < N; ++I) {
+    if (!IsActive(I))
       continue;
-    for (int J = 0; J < N; ++J) {
-      if (I == J || !Active[static_cast<size_t>(J)])
+    for (size_t J = 0; J < N; ++J) {
+      if (I == J || !IsActive(J))
         continue;
-      bool Edge = locationsConflict(I, S[static_cast<size_t>(I)], J,
-                                    S[static_cast<size_t>(J)]);
+      bool Edge = locationsConflict(static_cast<int>(I), S[I],
+                                    static_cast<int>(J), S[J]);
       if (!Edge && Order) {
         // Compatibility (Sec. 6.2): if some action of J is preferred over
         // some action of I, selecting I requires selecting J.
-        for (Letter B : Enabled[static_cast<size_t>(I)]) {
-          for (Letter A : Enabled[static_cast<size_t>(J)]) {
+        for (const auto &[B, ToB] : EnabledAt(I)) {
+          (void)ToB;
+          for (const auto &[A, ToA] : EnabledAt(J)) {
+            (void)ToA;
             if (Order->less(Ctx, A, B)) {
               Edge = true;
               break;
@@ -151,56 +155,63 @@ const Bitset &PersistentSetComputer::compute(uint32_t StateId,
         }
       }
       if (Edge)
-        Adj[static_cast<size_t>(I)].push_back(J);
+        Adj[I].push_back(static_cast<int>(J));
     }
   }
 
-  // Kosaraju SCC over the active subgraph.
-  std::vector<int> FinishOrder;
-  std::vector<bool> Visited(static_cast<size_t>(N), false);
-  std::function<void(int)> Dfs1 = [&](int U) {
-    Visited[static_cast<size_t>(U)] = true;
-    for (int V : Adj[static_cast<size_t>(U)])
-      if (!Visited[static_cast<size_t>(V)])
-        Dfs1(V);
-    FinishOrder.push_back(U);
-  };
-  for (int T = 0; T < N; ++T)
-    if (Active[static_cast<size_t>(T)] && !Visited[static_cast<size_t>(T)])
-      Dfs1(T);
+  // Kosaraju SCC over the active subgraph. The first pass is a DFS on an
+  // explicit stack of (node, next-edge index), finishing nodes in the order
+  // the recursive formulation would.
+  FinishOrder.clear();
+  Visited.assign(N, false);
+  for (size_t Root = 0; Root < N; ++Root) {
+    if (!IsActive(Root) || Visited[Root])
+      continue;
+    Visited[Root] = true;
+    DfsStack.push_back({static_cast<int>(Root), 0});
+    while (!DfsStack.empty()) {
+      auto &[U, Next] = DfsStack.back();
+      const std::vector<int> &Out = Adj[static_cast<size_t>(U)];
+      if (Next < Out.size()) {
+        int V = Out[Next++];
+        if (!Visited[static_cast<size_t>(V)]) {
+          Visited[static_cast<size_t>(V)] = true;
+          DfsStack.push_back({V, 0});
+        }
+        continue;
+      }
+      FinishOrder.push_back(U);
+      DfsStack.pop_back();
+    }
+  }
 
-  std::vector<std::vector<int>> RevAdj(static_cast<size_t>(N));
-  for (int U = 0; U < N; ++U)
-    for (int V : Adj[static_cast<size_t>(U)])
-      RevAdj[static_cast<size_t>(V)].push_back(U);
+  for (size_t U = 0; U < N; ++U)
+    for (int V : Adj[U])
+      RevAdj[static_cast<size_t>(V)].push_back(static_cast<int>(U));
 
-  std::vector<int> ComponentOf(static_cast<size_t>(N), -1);
+  ComponentOf.assign(N, -1);
   int NumComponents = 0;
   for (auto RIt = FinishOrder.rbegin(); RIt != FinishOrder.rend(); ++RIt) {
     if (ComponentOf[static_cast<size_t>(*RIt)] != -1)
       continue;
     int Comp = NumComponents++;
-    std::deque<int> Worklist = {*RIt};
+    Worklist.clear();
+    Worklist.push_back(*RIt);
     ComponentOf[static_cast<size_t>(*RIt)] = Comp;
-    while (!Worklist.empty()) {
-      int U = Worklist.front();
-      Worklist.pop_front();
-      for (int V : RevAdj[static_cast<size_t>(U)])
+    for (size_t Head = 0; Head < Worklist.size(); ++Head)
+      for (int V : RevAdj[static_cast<size_t>(Worklist[Head])])
         if (ComponentOf[static_cast<size_t>(V)] == -1) {
           ComponentOf[static_cast<size_t>(V)] = Comp;
           Worklist.push_back(V);
         }
-    }
   }
 
   // Topologically maximal components: no edge to another component.
-  std::vector<bool> HasOutgoing(static_cast<size_t>(NumComponents), false);
-  for (int U = 0; U < N; ++U)
-    for (int V : Adj[static_cast<size_t>(U)])
-      if (ComponentOf[static_cast<size_t>(U)] !=
-          ComponentOf[static_cast<size_t>(V)])
-        HasOutgoing[static_cast<size_t>(
-            ComponentOf[static_cast<size_t>(U)])] = true;
+  HasOutgoing.assign(static_cast<size_t>(NumComponents), false);
+  for (size_t U = 0; U < N; ++U)
+    for (int V : Adj[U])
+      if (ComponentOf[U] != ComponentOf[static_cast<size_t>(V)])
+        HasOutgoing[static_cast<size_t>(ComponentOf[U])] = true;
 
   // Pick the maximal component whose enabled-action set is smallest
   // (deterministic tie-break by component id).
@@ -210,9 +221,9 @@ const Bitset &PersistentSetComputer::compute(uint32_t StateId,
     if (HasOutgoing[static_cast<size_t>(Comp)])
       continue;
     size_t Size = 0;
-    for (int T = 0; T < N; ++T)
-      if (ComponentOf[static_cast<size_t>(T)] == Comp)
-        Size += Enabled[static_cast<size_t>(T)].size();
+    for (size_t T = 0; T < N; ++T)
+      if (ComponentOf[T] == Comp)
+        Size += EnabledAt(T).size();
     if (Size < BestSize) {
       BestSize = Size;
       Best = Comp;
@@ -221,34 +232,33 @@ const Bitset &PersistentSetComputer::compute(uint32_t StateId,
 
   // Selection: the chosen component plus all active assert threads, closed
   // under the graph edges.
-  std::vector<bool> Selected(static_cast<size_t>(N), false);
-  std::deque<int> Worklist;
-  auto Select = [&](int T) {
-    if (!Selected[static_cast<size_t>(T)]) {
-      Selected[static_cast<size_t>(T)] = true;
-      Worklist.push_back(T);
+  Selected.assign(N, false);
+  Worklist.clear();
+  auto Select = [&](size_t T) {
+    if (!Selected[T]) {
+      Selected[T] = true;
+      Worklist.push_back(static_cast<int>(T));
     }
   };
-  for (int T = 0; T < N; ++T) {
-    if (!Active[static_cast<size_t>(T)])
+  for (size_t T = 0; T < N; ++T) {
+    if (!IsActive(T))
       continue;
-    if (Best != -1 && ComponentOf[static_cast<size_t>(T)] == Best)
+    if (Best != -1 && ComponentOf[T] == Best)
       Select(T);
-    if (HasAssert[static_cast<size_t>(T)])
+    if (HasAssert[T])
       Select(T);
   }
-  while (!Worklist.empty()) {
-    int U = Worklist.front();
-    Worklist.pop_front();
-    for (int V : Adj[static_cast<size_t>(U)])
-      Select(V);
-  }
+  for (size_t Head = 0; Head < Worklist.size(); ++Head)
+    for (int V : Adj[static_cast<size_t>(Worklist[Head])])
+      Select(static_cast<size_t>(V));
 
   Bitset M(P.numLetters());
-  for (int T = 0; T < N; ++T)
-    if (Selected[static_cast<size_t>(T)])
-      for (Letter L : Enabled[static_cast<size_t>(T)])
+  for (size_t T = 0; T < N; ++T)
+    if (Selected[T])
+      for (const auto &[L, To] : EnabledAt(T)) {
+        (void)To;
         M.set(L);
+      }
 
   assert(Id == Membranes.size() && "membranes are aligned with key ids");
   Membranes.push_back(std::move(M));

@@ -86,6 +86,21 @@ private:
   InternTable<CacheKey> CacheIndex;
   std::vector<Bitset> Membranes;
   uint64_t CacheHits = 0;
+
+  /// Scratch of a cache miss, indexed by thread and cleared at each call,
+  /// so a miss allocates only the membrane it stores: the conflict graph
+  /// and its reverse, Kosaraju's explicit DFS stack of (thread, next-edge
+  /// index), finish order and component ids, and the worklist shared by
+  /// the component sweep and the selection closure.
+  std::vector<std::vector<int>> Adj;
+  std::vector<std::vector<int>> RevAdj;
+  std::vector<std::pair<int, size_t>> DfsStack;
+  std::vector<int> FinishOrder;
+  std::vector<int> ComponentOf;
+  std::vector<int> Worklist;
+  std::vector<bool> Visited;
+  std::vector<bool> HasOutgoing;
+  std::vector<bool> Selected;
 };
 
 } // namespace red

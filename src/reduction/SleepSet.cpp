@@ -137,7 +137,11 @@ struct ProgramReductionAutomaton {
 
   InternTable<prog::ProductState> Products;
   SleepSetInterner Sleeps;
-  std::vector<Letter> Enabled; // reused per successors() call
+  // Reused per successors() call: the enabled edges, their letters, and
+  // the successor product state under construction.
+  std::vector<prog::Edge> Edges;
+  std::vector<Letter> Enabled;
+  prog::ProductState NextState;
 
   ProgramReductionAutomaton(const prog::ConcurrentProgram &P,
                             const PreferenceOrder *Order,
@@ -158,8 +162,8 @@ struct ProgramReductionAutomaton {
   }
   std::vector<std::pair<Letter, StateType>> successors(const StateType &St) {
     std::vector<std::pair<Letter, StateType>> Out;
-    auto Successors = P.successors(Products[St.QId]); // empty for errors
-    if (Successors.empty())
+    P.enabledEdges(Products[St.QId], Edges); // empty for errors
+    if (Edges.empty())
       return Out;
 
     // pi_S(q, S) = pi(q) \ S: membership filter below.
@@ -168,13 +172,14 @@ struct ProgramReductionAutomaton {
       Membrane = &Persistent->compute(St.QId, Products[St.QId], St.Ctx);
 
     Enabled.clear();
-    for (const auto &[L, Next] : Successors) {
-      (void)Next;
-      Enabled.push_back(L);
-    }
+    for (const prog::Edge &E : Edges)
+      Enabled.push_back(E.Letter);
+    // Copied before any intern() below can move the arena.
+    NextState = Products[St.QId];
 
-    Out.reserve(Successors.size());
-    for (auto &[L, Next] : Successors) {
+    Out.reserve(Edges.size());
+    for (const prog::Edge &E : Edges) {
+      Letter L = E.Letter;
       if (Sleeps.test(St.Sleep, L))
         continue;
       if (Membrane && !Membrane->test(L))
@@ -188,8 +193,12 @@ struct ProgramReductionAutomaton {
       }
       PreferenceOrder::Context NextCtx =
           Order ? Order->advance(St.Ctx, L) : PreferenceOrder::InitialContext;
-      Out.push_back(
-          {L, {Products.intern(std::move(Next)), NextSleep, NextCtx}});
+      prog::Location &Slot = NextState[static_cast<size_t>(E.Thread)];
+      prog::Location Here = Slot;
+      Slot = E.Target;
+      uint32_t NextId = Products.intern(NextState);
+      Slot = Here;
+      Out.push_back({L, {NextId, NextSleep, NextCtx}});
     }
     return Out;
   }

@@ -22,8 +22,13 @@
 #include "program/CfgBuilder.h"
 #include "automata/Explore.h"
 #include "reduction_helpers.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <deque>
+#include <functional>
+#include <set>
 
 using namespace seqver;
 using namespace seqver::red;
@@ -607,6 +612,243 @@ TEST(SizeBoundTest, ConflictRelationOnHandmadeProgram) {
   // After thread b has finished (location 1), its enabled set is empty: no
   // conflicts originate there.
   EXPECT_FALSE(Persistent.locationsConflict(1, 1, 0, 0));
+}
+
+//===----------------------------------------------------------------------===//
+// Algorithm 1 membranes against a reference implementation
+//===----------------------------------------------------------------------===//
+
+/// The straightforward Algorithm 1 miss path: per-call containers, a
+/// recursive Kosaraju DFS and deque worklists. PersistentSetComputer
+/// reuses its buffers and walks an explicit stack instead; it must return
+/// the same membrane bit for bit, including the component tie-break.
+Bitset referenceMembrane(const ConcurrentProgram &P,
+                         const PersistentSetComputer &Persistent,
+                         const PreferenceOrder *Order,
+                         const prog::ProductState &S,
+                         PreferenceOrder::Context Ctx) {
+  int N = P.numThreads();
+  std::vector<std::vector<Letter>> Enabled(static_cast<size_t>(N));
+  std::vector<bool> Active(static_cast<size_t>(N), false);
+  std::vector<bool> HasAssert(static_cast<size_t>(N), false);
+  for (int T = 0; T < N; ++T) {
+    for (const auto &[L, To] :
+         P.thread(T).Edges[S[static_cast<size_t>(T)]]) {
+      (void)To;
+      Enabled[static_cast<size_t>(T)].push_back(L);
+    }
+    Active[static_cast<size_t>(T)] =
+        !Enabled[static_cast<size_t>(T)].empty();
+    HasAssert[static_cast<size_t>(T)] = P.thread(T).containsAssert();
+  }
+
+  std::vector<std::vector<int>> Adj(static_cast<size_t>(N));
+  for (int I = 0; I < N; ++I) {
+    if (!Active[static_cast<size_t>(I)])
+      continue;
+    for (int J = 0; J < N; ++J) {
+      if (I == J || !Active[static_cast<size_t>(J)])
+        continue;
+      bool Edge = Persistent.locationsConflict(
+          I, S[static_cast<size_t>(I)], J, S[static_cast<size_t>(J)]);
+      if (!Edge && Order) {
+        for (Letter B : Enabled[static_cast<size_t>(I)]) {
+          for (Letter A : Enabled[static_cast<size_t>(J)]) {
+            if (Order->less(Ctx, A, B)) {
+              Edge = true;
+              break;
+            }
+          }
+          if (Edge)
+            break;
+        }
+      }
+      if (Edge)
+        Adj[static_cast<size_t>(I)].push_back(J);
+    }
+  }
+
+  std::vector<int> FinishOrder;
+  std::vector<bool> Visited(static_cast<size_t>(N), false);
+  std::function<void(int)> Dfs1 = [&](int U) {
+    Visited[static_cast<size_t>(U)] = true;
+    for (int V : Adj[static_cast<size_t>(U)])
+      if (!Visited[static_cast<size_t>(V)])
+        Dfs1(V);
+    FinishOrder.push_back(U);
+  };
+  for (int T = 0; T < N; ++T)
+    if (Active[static_cast<size_t>(T)] && !Visited[static_cast<size_t>(T)])
+      Dfs1(T);
+
+  std::vector<std::vector<int>> RevAdj(static_cast<size_t>(N));
+  for (int U = 0; U < N; ++U)
+    for (int V : Adj[static_cast<size_t>(U)])
+      RevAdj[static_cast<size_t>(V)].push_back(U);
+
+  std::vector<int> ComponentOf(static_cast<size_t>(N), -1);
+  int NumComponents = 0;
+  for (auto RIt = FinishOrder.rbegin(); RIt != FinishOrder.rend(); ++RIt) {
+    if (ComponentOf[static_cast<size_t>(*RIt)] != -1)
+      continue;
+    int Comp = NumComponents++;
+    std::deque<int> Worklist = {*RIt};
+    ComponentOf[static_cast<size_t>(*RIt)] = Comp;
+    while (!Worklist.empty()) {
+      int U = Worklist.front();
+      Worklist.pop_front();
+      for (int V : RevAdj[static_cast<size_t>(U)])
+        if (ComponentOf[static_cast<size_t>(V)] == -1) {
+          ComponentOf[static_cast<size_t>(V)] = Comp;
+          Worklist.push_back(V);
+        }
+    }
+  }
+
+  std::vector<bool> HasOutgoing(static_cast<size_t>(NumComponents), false);
+  for (int U = 0; U < N; ++U)
+    for (int V : Adj[static_cast<size_t>(U)])
+      if (ComponentOf[static_cast<size_t>(U)] !=
+          ComponentOf[static_cast<size_t>(V)])
+        HasOutgoing[static_cast<size_t>(
+            ComponentOf[static_cast<size_t>(U)])] = true;
+
+  int Best = -1;
+  size_t BestSize = SIZE_MAX;
+  for (int Comp = 0; Comp < NumComponents; ++Comp) {
+    if (HasOutgoing[static_cast<size_t>(Comp)])
+      continue;
+    size_t Size = 0;
+    for (int T = 0; T < N; ++T)
+      if (ComponentOf[static_cast<size_t>(T)] == Comp)
+        Size += Enabled[static_cast<size_t>(T)].size();
+    if (Size < BestSize) {
+      BestSize = Size;
+      Best = Comp;
+    }
+  }
+
+  std::vector<bool> Selected(static_cast<size_t>(N), false);
+  std::deque<int> Worklist;
+  auto Select = [&](int T) {
+    if (!Selected[static_cast<size_t>(T)]) {
+      Selected[static_cast<size_t>(T)] = true;
+      Worklist.push_back(T);
+    }
+  };
+  for (int T = 0; T < N; ++T) {
+    if (!Active[static_cast<size_t>(T)])
+      continue;
+    if (Best != -1 && ComponentOf[static_cast<size_t>(T)] == Best)
+      Select(T);
+    if (HasAssert[static_cast<size_t>(T)])
+      Select(T);
+  }
+  while (!Worklist.empty()) {
+    int U = Worklist.front();
+    Worklist.pop_front();
+    for (int V : Adj[static_cast<size_t>(U)])
+      Select(V);
+  }
+
+  Bitset M(P.numLetters());
+  for (int T = 0; T < N; ++T)
+    if (Selected[static_cast<size_t>(T)])
+      for (Letter L : Enabled[static_cast<size_t>(T)])
+        M.set(L);
+  return M;
+}
+
+/// Every tier-1 program whose interleaving product has at most 20,000
+/// states, under seq, lockstep and no order: each reachable (state,
+/// context) pair gets the reference membrane, also when compute() visits
+/// the pairs in reverse (the reused buffers carry nothing between calls),
+/// and enabledEdges() lists exactly the moves successors() takes.
+TEST(PersistentSetTest, MembraneMatchesReference) {
+  constexpr uint32_t kMaxProductStates = 20000;
+  size_t Total = 0, Compared = 0;
+  for (const auto &W : workloads::tier1Suite()) {
+    ++Total;
+    smt::TermManager TM;
+    prog::BuildResult B = prog::buildFromSource(W.Source, TM);
+    ASSERT_TRUE(B.ok()) << W.Name << ": " << B.Error;
+    const ConcurrentProgram &P = *B.Program;
+    struct ProductImpl {
+      using StateType = prog::ProductState;
+      const ConcurrentProgram &P;
+      StateType initialState() { return P.initialProductState(); }
+      bool isAccepting(const StateType &S) { return P.isErrorState(S); }
+      std::vector<std::pair<Letter, StateType>>
+      successors(const StateType &S) {
+        return P.successors(S);
+      }
+    } Impl{P};
+    bool Overflow = false;
+    auto Mat = automata::materialize(Impl, P.numLetters(), kMaxProductStates,
+                                     &Overflow);
+    if (Overflow)
+      continue;
+    ++Compared;
+
+    std::vector<prog::Edge> Edges;
+    for (const prog::ProductState &S : Mat.States) {
+      P.enabledEdges(S, Edges);
+      auto Succs = P.successors(S);
+      ASSERT_EQ(Edges.size(), Succs.size()) << W.Name;
+      for (size_t I = 0; I < Edges.size(); ++I) {
+        prog::ProductState Next = S;
+        Next[static_cast<size_t>(Edges[I].Thread)] = Edges[I].Target;
+        EXPECT_EQ(Edges[I].Letter, Succs[I].first) << W.Name;
+        EXPECT_EQ(Next, Succs[I].second) << W.Name;
+        EXPECT_EQ(P.action(Edges[I].Letter).ThreadId, Edges[I].Thread)
+            << W.Name;
+      }
+    }
+
+    smt::QueryEngine QE(TM);
+    CommutativityChecker Commut(P, QE, CommutativityChecker::Mode::Static);
+    SequentialOrder Seq(P);
+    LockstepOrder Lockstep(P);
+    for (const PreferenceOrder *Order :
+         {static_cast<const PreferenceOrder *>(&Seq),
+          static_cast<const PreferenceOrder *>(&Lockstep),
+          static_cast<const PreferenceOrder *>(nullptr)}) {
+      std::string What =
+          W.Name + "/" + (Order ? Order->name() : std::string("none"));
+      // Reachable (state, context) pairs of the product under Order.
+      std::vector<std::pair<automata::State, PreferenceOrder::Context>>
+          Pairs = {{Mat.Automaton.initial(), PreferenceOrder::InitialContext}};
+      std::set<std::pair<automata::State, PreferenceOrder::Context>> Seen(
+          Pairs.begin(), Pairs.end());
+      for (size_t Head = 0; Head < Pairs.size(); ++Head) {
+        auto [Q, Ctx] = Pairs[Head];
+        for (const auto &[L, To] : Mat.Automaton.transitionsFrom(Q)) {
+          PreferenceOrder::Context Next =
+              Order && Order->isPositional() ? Order->advance(Ctx, L)
+                                             : PreferenceOrder::InitialContext;
+          if (Seen.insert({To, Next}).second)
+            Pairs.push_back({To, Next});
+        }
+      }
+
+      PersistentSetComputer Forward(P, Commut, Order);
+      std::vector<Bitset> Expected;
+      for (const auto &[Q, Ctx] : Pairs) {
+        Expected.push_back(
+            referenceMembrane(P, Forward, Order, Mat.States[Q], Ctx));
+        EXPECT_EQ(Forward.compute(Q, Mat.States[Q], Ctx), Expected.back())
+            << What << " state " << Q << " ctx " << Ctx;
+      }
+      PersistentSetComputer Backward(P, Commut, Order);
+      for (size_t I = Pairs.size(); I-- > 0;) {
+        auto [Q, Ctx] = Pairs[I];
+        EXPECT_EQ(Backward.compute(Q, Mat.States[Q], Ctx), Expected[I])
+            << What << " reverse, state " << Q << " ctx " << Ctx;
+      }
+    }
+  }
+  // The bound skips only the few largest products.
+  EXPECT_GE(Compared * 10, Total * 9) << Compared << " of " << Total;
 }
 
 } // namespace

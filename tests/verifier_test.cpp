@@ -298,6 +298,23 @@ TEST_F(VerifierTest, BluetoothConstantRoundsWithReduction) {
   }
 }
 
+TEST_F(VerifierTest, VisitedAllRoundsCountsEveryRound) {
+  // visited_total adds only rounds that return a valid proof;
+  // visited_all_rounds adds the counterexample rounds before it too.
+  smt::TermManager LocalTM;
+  prog::BuildResult B =
+      prog::buildFromSource(workloads::bluetoothSource(3), LocalTM);
+  ASSERT_TRUE(B.ok()) << B.Error;
+  VerifierConfig Cfg;
+  Cfg.TimeoutSeconds = 30;
+  VerificationResult R = runSingleOrder(*B.Program, Cfg, "seq");
+  ASSERT_EQ(R.V, Verdict::Correct);
+  ASSERT_GT(R.Rounds, 1);
+  EXPECT_GT(R.Stats.get("visited_total"), 0);
+  EXPECT_GT(R.Stats.get("visited_all_rounds"),
+            R.Stats.get("visited_total"));
+}
+
 TEST_F(VerifierTest, BluetoothBugFound) {
   for (int Users = 1; Users <= 2; ++Users) {
     smt::TermManager LocalTM;

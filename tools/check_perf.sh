@@ -2,8 +2,9 @@
 # Perf-regression gate: runs the bench_hotpath microbenchmark (generic
 # sleep-set construction, program-reduction construction, and the verifier
 # DFS over the tier-1 suites), writes BENCH_hotpath.json into the build
-# directory, and compares the suite wall time against the checked-in
-# baseline at the repo root. Fails when the measured wall time regresses
+# directory, and compares the suite wall time (the median of the bench's
+# three passes over the suite) against the checked-in baseline at the repo
+# root. Fails when the measured wall time regresses
 # by more than the tolerance (default 15%, override with
 # SEQVER_PERF_TOLERANCE_PCT). A single retry absorbs scheduler noise
 # before declaring a regression.
