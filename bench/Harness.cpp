@@ -35,26 +35,7 @@ RunRecord toRecord(const workloads::WorkloadInstance &W,
   Out.Seconds = R.Seconds;
   Out.Rounds = R.Rounds;
   Out.ProofSize = R.ProofSize;
-  Out.PeakVisited = R.Stats.get("peak_visited");
-  Out.CommutQueries = R.Stats.get("commut_queries");
-  Out.CommutSyntactic = R.Stats.get("commut_syntactic");
-  Out.CommutStatic = R.Stats.get("commut_static");
-  Out.CommutOctagon = R.Stats.get("commut_octagon");
-  Out.CommutKarr = R.Stats.get("commut_karr");
-  Out.SemanticChecks = R.Stats.get("semantic_commut_checks");
-  Out.SmtQueries = R.Stats.get("smt_queries");
-  Out.SeededPredicates = R.Stats.get("seeded_predicates");
-  Out.KarrSeeded = R.Stats.get("karr_seeded");
-  Out.InternHits = R.Stats.get("intern_hits");
-  Out.InternMisses = R.Stats.get("intern_misses");
-  Out.PeakInternedSets = R.Stats.get("peak_interned_sets");
-  Out.SleepsetInlineSets = R.Stats.get("sleepset_inline_sets");
-  Out.SleepsetSpillSets = R.Stats.get("sleepset_spill_sets");
-  Out.CacheHits = R.Stats.get("cache_hits");
-  Out.CacheMisses = R.Stats.get("cache_misses");
-  Out.CacheSeeded = R.Stats.get("cache_seeded");
-  Out.RoundsSavedWarm = R.Stats.get("rounds_saved_warm");
-  Out.CacheStores = R.Stats.get("cache_stores");
+  Out.Stats = R.Stats;
   Out.BestOrder = BestOrder;
   return Out;
 }
@@ -127,27 +108,9 @@ RunRecord seqver::bench::runTool(const workloads::WorkloadInstance &W,
     Out.WallSeconds = R.WallSeconds;
     Out.RaceCostSeconds = R.sumSeconds();
     // The winner's lazily-registered counters miss whatever only the losing
-    // orders touched; the hub-merged statistics are the race's true per-tier
+    // orders touched; the hub-merged statistics are the race's true
     // totals (each worker's sink carries its verifier-exported counters).
-    Out.CommutQueries = R.Merged.get("commut_queries");
-    Out.CommutSyntactic = R.Merged.get("commut_syntactic");
-    Out.CommutStatic = R.Merged.get("commut_static");
-    Out.CommutOctagon = R.Merged.get("commut_octagon");
-    Out.CommutKarr = R.Merged.get("commut_karr");
-    Out.SemanticChecks = R.Merged.get("semantic_commut_checks");
-    Out.SmtQueries = R.Merged.get("smt_queries");
-    Out.SeededPredicates = R.Merged.get("seeded_predicates");
-    Out.KarrSeeded = R.Merged.get("karr_seeded");
-    Out.InternHits = R.Merged.get("intern_hits");
-    Out.InternMisses = R.Merged.get("intern_misses");
-    Out.PeakInternedSets = R.Merged.get("peak_interned_sets");
-    Out.SleepsetInlineSets = R.Merged.get("sleepset_inline_sets");
-    Out.SleepsetSpillSets = R.Merged.get("sleepset_spill_sets");
-    Out.CacheHits = R.Merged.get("cache_hits");
-    Out.CacheMisses = R.Merged.get("cache_misses");
-    Out.CacheSeeded = R.Merged.get("cache_seeded");
-    Out.RoundsSavedWarm = R.Merged.get("rounds_saved_warm");
-    Out.CacheStores = R.Merged.get("cache_stores");
+    Out.Stats = R.Merged;
     return Out;
   }
   if (Tool == "gemcutter-oct")
@@ -257,26 +220,9 @@ SuiteAggregate seqver::bench::aggregate(const std::vector<RunRecord> &Records,
       continue;
     ++Out.Successful;
     Out.TotalSeconds += R.Seconds;
-    Out.TotalPeakVisited += R.PeakVisited;
     Out.TotalRounds += R.Rounds;
-    Out.TotalCommutQueries += R.CommutQueries;
-    Out.TotalCommutStatic += R.CommutStatic;
-    Out.TotalCommutOctagon += R.CommutOctagon;
-    Out.TotalCommutKarr += R.CommutKarr;
-    Out.TotalSemanticChecks += R.SemanticChecks;
-    Out.TotalSmtQueries += R.SmtQueries;
-    Out.TotalSeededPredicates += R.SeededPredicates;
-    Out.TotalKarrSeeded += R.KarrSeeded;
-    Out.TotalInternHits += R.InternHits;
-    Out.TotalInternMisses += R.InternMisses;
-    Out.TotalPeakInternedSets += R.PeakInternedSets;
-    Out.TotalSleepsetInlineSets += R.SleepsetInlineSets;
-    Out.TotalSleepsetSpillSets += R.SleepsetSpillSets;
-    Out.TotalCacheHits += R.CacheHits;
-    Out.TotalCacheMisses += R.CacheMisses;
-    Out.TotalCacheSeeded += R.CacheSeeded;
-    Out.TotalRoundsSavedWarm += R.RoundsSavedWarm;
-    Out.TotalCacheStores += R.CacheStores;
+    for (const auto &[Name, Value] : R.Stats.all())
+      Out.Stats.add(Name, Value);
   }
   return Out;
 }

@@ -14,6 +14,7 @@
 
 #include "core/Portfolio.h"
 #include "core/Verifier.h"
+#include "support/Statistics.h"
 #include "workloads/Workloads.h"
 
 #include <string>
@@ -32,38 +33,10 @@ struct RunRecord {
   double Seconds = 0;
   int Rounds = 0;
   size_t ProofSize = 0;
-  int64_t PeakVisited = 0;
-  /// Commutativity tier breakdown (support/Statistics counters of the
-  /// winning run): how the commutativity queries were settled.
-  int64_t CommutQueries = 0;
-  int64_t CommutSyntactic = 0;
-  int64_t CommutStatic = 0;
-  int64_t CommutOctagon = 0;
-  int64_t CommutKarr = 0;
-  int64_t SemanticChecks = 0;
-  int64_t SmtQueries = 0;
-  /// Proof predicates contributed by octagon seeding (0 unless the tool
-  /// enables SeedProof), and the Karr analysis's additional contribution.
-  int64_t SeededPredicates = 0;
-  int64_t KarrSeeded = 0;
-  /// Interning telemetry of the hot-path state tables (docs/PERF.md):
-  /// probe hits/misses summed over the per-verifier interners (hub-merged
-  /// across workers for gemcutter-par), the largest sleep-set table, and
-  /// how many distinct sleep sets used the inline 64/128-bit representation
-  /// vs the spilled multi-word one.
-  int64_t InternHits = 0;
-  int64_t InternMisses = 0;
-  int64_t PeakInternedSets = 0;
-  int64_t SleepsetInlineSets = 0;
-  int64_t SleepsetSpillSets = 0;
-  /// Persistent proof-cache traffic (docs/PERSIST.md): all zero unless the
-  /// run's VerifierConfig carried a CacheDir (hub-merged across workers for
-  /// gemcutter-par, so a shared store counts every racing order's traffic).
-  int64_t CacheHits = 0;
-  int64_t CacheMisses = 0;
-  int64_t CacheSeeded = 0;
-  int64_t RoundsSavedWarm = 0;
-  int64_t CacheStores = 0;
+  /// The run's support/Statistics counters (peak_visited, the commutativity
+  /// tiers, interning, proof-cache traffic, ...). For gemcutter-par these
+  /// are the hub-merged counters of every racing order, not the winner's.
+  Statistics Stats;
   /// Portfolio only: name of the winning order.
   std::string BestOrder;
   /// Parallel portfolio only: real wall-clock of the whole race (Seconds
@@ -90,9 +63,9 @@ double benchTimeout();
 ///   gemcutter            portfolio over seq/lockstep/rand(1..3),
 ///                        sequential as-if-parallel emulation
 ///   gemcutter-par        the same portfolio raced on the parallel runtime
-///                        (real wall-clock in WallSeconds; tier counters are
-///                        taken from the hub-merged statistics, i.e. summed
-///                        over every racing order, not just the winner)
+///                        (real wall-clock in WallSeconds; Stats holds the
+///                        hub-merged counters of every racing order, not
+///                        just the winner's)
 ///   gemcutter-oct        portfolio with octagon proof seeding on top of
 ///                        the full static tier stack
 ///   gemcutter-nooct      portfolio with the octagon tier and seeding off —
@@ -127,40 +100,30 @@ void printTableRow(const std::vector<std::string> &Cells,
 struct SuiteAggregate {
   int Successful = 0;
   double TotalSeconds = 0;
-  int64_t TotalPeakVisited = 0;
+  /// Sum of RunRecord::Rounds: the winner's rounds for gemcutter-par,
+  /// where Stats' "rounds" sums every racing order's.
   int64_t TotalRounds = 0;
-  int64_t TotalCommutQueries = 0;
-  int64_t TotalCommutStatic = 0;
-  int64_t TotalCommutOctagon = 0;
-  int64_t TotalCommutKarr = 0;
-  int64_t TotalSemanticChecks = 0;
-  int64_t TotalSmtQueries = 0;
-  int64_t TotalSeededPredicates = 0;
-  int64_t TotalKarrSeeded = 0;
-  int64_t TotalInternHits = 0;
-  int64_t TotalInternMisses = 0;
-  int64_t TotalPeakInternedSets = 0;
-  int64_t TotalSleepsetInlineSets = 0;
-  int64_t TotalSleepsetSpillSets = 0;
-  int64_t TotalCacheHits = 0;
-  int64_t TotalCacheMisses = 0;
-  int64_t TotalCacheSeeded = 0;
-  int64_t TotalRoundsSavedWarm = 0;
-  int64_t TotalCacheStores = 0;
+  /// Every counter of the records summed by name. Gauges are summed too,
+  /// so peak_visited is Table 1's summed peak states.
+  Statistics Stats;
 
   /// Intern-probe hit rate in percent (0 when no probes were recorded).
   double internHitRatePct() const {
-    int64_t Probes = TotalInternHits + TotalInternMisses;
-    return Probes == 0 ? 0.0
-                       : 100.0 * static_cast<double>(TotalInternHits) /
-                             static_cast<double>(Probes);
+    return pct(Stats.get("intern_hits"),
+               Stats.get("intern_hits") + Stats.get("intern_misses"));
   }
   /// Share of distinct sleep sets in the inline 64/128-bit representation.
   double sleepsetBitsetPct() const {
-    int64_t Sets = TotalSleepsetInlineSets + TotalSleepsetSpillSets;
-    return Sets == 0 ? 0.0
-                     : 100.0 * static_cast<double>(TotalSleepsetInlineSets) /
-                           static_cast<double>(Sets);
+    return pct(Stats.get("sleepset_inline_sets"),
+               Stats.get("sleepset_inline_sets") +
+                   Stats.get("sleepset_spill_sets"));
+  }
+
+private:
+  static double pct(int64_t Part, int64_t Whole) {
+    return Whole == 0 ? 0.0
+                      : 100.0 * static_cast<double>(Part) /
+                            static_cast<double>(Whole);
   }
 };
 

@@ -38,7 +38,7 @@ Agg summarize(const std::vector<RunRecord> &Records) {
     ++Out.Solved;
     Out.Rounds += R.Rounds;
     Out.Time += R.Seconds;
-    Out.PeakStates += R.PeakVisited;
+    Out.PeakStates += R.Stats.get("peak_visited");
     if (R.V == core::Verdict::Correct) {
       Out.ProofTotal += static_cast<double>(R.ProofSize);
       ++Out.ProofCount;

@@ -139,9 +139,9 @@ void printFig1() {
               "  with:    proof=%zu rounds=%d peak-states=%lld\n"
               "  without: proof=%zu rounds=%d peak-states=%lld\n",
               Mid, With.ProofSize, With.Rounds,
-              static_cast<long long>(With.PeakVisited), Without.ProofSize,
-              Without.Rounds,
-              static_cast<long long>(Without.PeakVisited));
+              static_cast<long long>(With.Stats.get("peak_visited")),
+              Without.ProofSize, Without.Rounds,
+              static_cast<long long>(Without.Stats.get("peak_visited")));
 }
 
 /// Microbenchmark: one full verification of bluetooth(n) with seq.

@@ -76,12 +76,12 @@ int main(int argc, char **argv) {
   for (const RunRecord &R : Automizer)
     if (R.successful()) {
       TimeA.push_back(R.Seconds);
-      MemA.push_back(static_cast<double>(R.PeakVisited));
+      MemA.push_back(static_cast<double>(R.Stats.get("peak_visited")));
     }
   for (const RunRecord &R : GemCutter)
     if (R.successful()) {
       TimeG.push_back(R.Seconds);
-      MemG.push_back(static_cast<double>(R.PeakVisited));
+      MemG.push_back(static_cast<double>(R.Stats.get("peak_visited")));
     }
 
   printQuantiles("CPU time", TimeA, TimeG, "seconds");

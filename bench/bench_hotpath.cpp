@@ -193,7 +193,7 @@ int main(int argc, char **argv) {
                         : 0;
   double DfsStatesPerSec =
       A.TotalSeconds > 0
-          ? static_cast<double>(A.TotalPeakVisited) / A.TotalSeconds
+          ? static_cast<double>(A.Stats.get("peak_visited")) / A.TotalSeconds
           : 0;
   std::printf("-- verifier DFS, tier-1 suites, seq order --\n");
   std::printf("instances=%zu successful=%d wall=%.2fs (median of %zu, "
@@ -206,7 +206,7 @@ int main(int argc, char **argv) {
   std::printf("intern_hit_rate=%.1f%% peak_interned_sets=%lld "
               "sleepset_bitset=%.1f%%\n",
               A.internHitRatePct(),
-              static_cast<long long>(A.TotalPeakInternedSets),
+              static_cast<long long>(A.Stats.get("peak_interned_sets")),
               A.sleepsetBitsetPct());
 
   std::FILE *F = std::fopen(OutPath.c_str(), "w");
@@ -230,10 +230,10 @@ int main(int argc, char **argv) {
   J.field("suite_rounds", A.TotalRounds);
   J.field("wall_s_per_round", WallPerRound);
   J.field("dfs_states_per_sec", DfsStatesPerSec);
-  J.field("intern_hits", A.TotalInternHits);
-  J.field("intern_misses", A.TotalInternMisses);
+  J.field("intern_hits", A.Stats.get("intern_hits"));
+  J.field("intern_misses", A.Stats.get("intern_misses"));
   J.field("intern_hit_rate_pct", A.internHitRatePct());
-  J.field("peak_interned_sets", A.TotalPeakInternedSets);
+  J.field("peak_interned_sets", A.Stats.get("peak_interned_sets"));
   J.field("sleepset_bitset_pct", A.sleepsetBitsetPct());
   std::fprintf(F, "\n}\n");
   std::fclose(F);

@@ -51,10 +51,10 @@ void printComparison(const std::vector<RunRecord> &Karr,
     printTableRow({A.Instance, core::verdictName(A.V),
                    core::verdictName(B.V), std::to_string(A.Rounds),
                    std::to_string(B.Rounds), std::to_string(C.Rounds),
-                   std::to_string(A.SemanticChecks),
-                   std::to_string(B.SemanticChecks),
-                   std::to_string(A.CommutKarr),
-                   std::to_string(A.KarrSeeded)},
+                   std::to_string(A.Stats.get("semantic_commut_checks")),
+                   std::to_string(B.Stats.get("semantic_commut_checks")),
+                   std::to_string(A.Stats.get("commut_karr")),
+                   std::to_string(A.Stats.get("karr_seeded"))},
                   {20, 9, 9, 5, 5, 5, 7, 7, 9, 7});
   }
 }
@@ -79,13 +79,14 @@ void BM_AffineKarrSeeding(benchmark::State &State) {
   State.counters["rounds_saved"] =
       static_cast<double>(Base.TotalRounds - Karr.TotalRounds);
   State.counters["semantic_checks_karr"] =
-      static_cast<double>(Karr.TotalSemanticChecks);
+      static_cast<double>(Karr.Stats.get("semantic_commut_checks"));
   State.counters["semantic_checks_nokarr"] =
-      static_cast<double>(NoKarr.TotalSemanticChecks);
+      static_cast<double>(NoKarr.Stats.get("semantic_commut_checks"));
   State.counters["smt_queries_saved"] =
-      static_cast<double>(NoKarr.TotalSmtQueries - Karr.TotalSmtQueries);
-  State.counters["commut_karr"] = static_cast<double>(Karr.TotalCommutKarr);
-  State.counters["karr_seeded"] = static_cast<double>(Karr.TotalKarrSeeded);
+      static_cast<double>(NoKarr.Stats.get("smt_queries") -
+                          Karr.Stats.get("smt_queries"));
+  for (const char *Name : {"commut_karr", "karr_seeded"})
+    State.counters[Name] = static_cast<double>(Karr.Stats.get(Name));
 }
 BENCHMARK(BM_AffineKarrSeeding)
     ->Unit(benchmark::kMillisecond)
@@ -114,18 +115,18 @@ int main(int argc, char **argv) {
               static_cast<long long>(B.TotalRounds),
               static_cast<long long>(C.TotalRounds));
   std::printf("semantic commutativity checks: %lld vs %lld vs %lld\n",
-              static_cast<long long>(A.TotalSemanticChecks),
-              static_cast<long long>(B.TotalSemanticChecks),
-              static_cast<long long>(C.TotalSemanticChecks));
+              static_cast<long long>(A.Stats.get("semantic_commut_checks")),
+              static_cast<long long>(B.Stats.get("semantic_commut_checks")),
+              static_cast<long long>(C.Stats.get("semantic_commut_checks")));
   std::printf("smt queries: %lld vs %lld vs %lld\n",
-              static_cast<long long>(A.TotalSmtQueries),
-              static_cast<long long>(B.TotalSmtQueries),
-              static_cast<long long>(C.TotalSmtQueries));
+              static_cast<long long>(A.Stats.get("smt_queries")),
+              static_cast<long long>(B.Stats.get("smt_queries")),
+              static_cast<long long>(C.Stats.get("smt_queries")));
   std::printf("karr-settled queries: %lld, karr-seeded predicates: %lld "
               "(of %lld total seeds)\n",
-              static_cast<long long>(A.TotalCommutKarr),
-              static_cast<long long>(A.TotalKarrSeeded),
-              static_cast<long long>(A.TotalSeededPredicates));
+              static_cast<long long>(A.Stats.get("commut_karr")),
+              static_cast<long long>(A.Stats.get("karr_seeded")),
+              static_cast<long long>(A.Stats.get("seeded_predicates")));
 
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -49,10 +49,10 @@ void printComparison(const std::vector<RunRecord> &Oct,
     printTableRow({A.Instance, core::verdictName(A.V),
                    core::verdictName(B.V), std::to_string(A.Rounds),
                    std::to_string(B.Rounds),
-                   std::to_string(A.SemanticChecks),
-                   std::to_string(B.SemanticChecks),
-                   std::to_string(A.CommutOctagon),
-                   std::to_string(A.SeededPredicates)},
+                   std::to_string(A.Stats.get("semantic_commut_checks")),
+                   std::to_string(B.Stats.get("semantic_commut_checks")),
+                   std::to_string(A.Stats.get("commut_octagon")),
+                   std::to_string(A.Stats.get("seeded_predicates"))},
                   {20, 9, 9, 7, 7, 8, 8, 8, 6});
   }
 }
@@ -74,15 +74,14 @@ void BM_LoopHeavyOctagonSeeding(benchmark::State &State) {
   State.counters["rounds_saved"] =
       static_cast<double>(Base.TotalRounds - Oct.TotalRounds);
   State.counters["semantic_checks_octagon"] =
-      static_cast<double>(Oct.TotalSemanticChecks);
+      static_cast<double>(Oct.Stats.get("semantic_commut_checks"));
   State.counters["semantic_checks_baseline"] =
-      static_cast<double>(Base.TotalSemanticChecks);
+      static_cast<double>(Base.Stats.get("semantic_commut_checks"));
   State.counters["smt_queries_saved"] =
-      static_cast<double>(Base.TotalSmtQueries - Oct.TotalSmtQueries);
-  State.counters["commut_octagon"] =
-      static_cast<double>(Oct.TotalCommutOctagon);
-  State.counters["seeded_predicates"] =
-      static_cast<double>(Oct.TotalSeededPredicates);
+      static_cast<double>(Base.Stats.get("smt_queries") -
+                          Oct.Stats.get("smt_queries"));
+  for (const char *Name : {"commut_octagon", "seeded_predicates"})
+    State.counters[Name] = static_cast<double>(Oct.Stats.get(Name));
 }
 BENCHMARK(BM_LoopHeavyOctagonSeeding)
     ->Unit(benchmark::kMillisecond)
@@ -108,14 +107,14 @@ int main(int argc, char **argv) {
               static_cast<long long>(B.TotalRounds),
               static_cast<long long>(B.TotalRounds - A.TotalRounds));
   std::printf("semantic commutativity checks: %lld vs %lld\n",
-              static_cast<long long>(A.TotalSemanticChecks),
-              static_cast<long long>(B.TotalSemanticChecks));
+              static_cast<long long>(A.Stats.get("semantic_commut_checks")),
+              static_cast<long long>(B.Stats.get("semantic_commut_checks")));
   std::printf("smt queries: %lld vs %lld\n",
-              static_cast<long long>(A.TotalSmtQueries),
-              static_cast<long long>(B.TotalSmtQueries));
+              static_cast<long long>(A.Stats.get("smt_queries")),
+              static_cast<long long>(B.Stats.get("smt_queries")));
   std::printf("octagon-settled queries: %lld, seeded predicates: %lld\n",
-              static_cast<long long>(A.TotalCommutOctagon),
-              static_cast<long long>(A.TotalSeededPredicates));
+              static_cast<long long>(A.Stats.get("commut_octagon")),
+              static_cast<long long>(A.Stats.get("seeded_predicates")));
 
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -43,11 +43,11 @@ void printSuiteBlock(const std::string &SuiteName,
                                       : "- incorrect";
     printTableRow({Label, std::to_string(A.Successful),
                    seqver::formatDouble(A.TotalSeconds, 2),
-                   std::to_string(A.TotalPeakVisited),
+                   std::to_string(A.Stats.get("peak_visited")),
                    std::to_string(A.TotalRounds),
                    std::to_string(G.Successful),
                    seqver::formatDouble(G.TotalSeconds, 2),
-                   std::to_string(G.TotalPeakVisited),
+                   std::to_string(G.Stats.get("peak_visited")),
                    std::to_string(G.TotalRounds)},
                   Widths);
   }
@@ -68,17 +68,18 @@ void printSuiteBlock(const std::string &SuiteName,
   // Commutativity tier breakdown for GemCutter: how many queries the
   // solver-free static tier settled, and the SMT checks that remained.
   SuiteAggregate G = aggregate(GemCutter);
+  int64_t Queries = G.Stats.get("commut_queries");
+  int64_t Static = G.Stats.get("commut_static");
   double StaticPct =
-      G.TotalCommutQueries
-          ? 100.0 * static_cast<double>(G.TotalCommutStatic) /
-                static_cast<double>(G.TotalCommutQueries)
-          : 0.0;
+      Queries ? 100.0 * static_cast<double>(Static) /
+                    static_cast<double>(Queries)
+              : 0.0;
   std::printf("commutativity tiers (GemCutter): queries=%lld static=%lld "
               "(%.1f%%) semantic=%lld smt=%lld\n",
-              static_cast<long long>(G.TotalCommutQueries),
-              static_cast<long long>(G.TotalCommutStatic), StaticPct,
-              static_cast<long long>(G.TotalSemanticChecks),
-              static_cast<long long>(G.TotalSmtQueries));
+              static_cast<long long>(Queries), static_cast<long long>(Static),
+              StaticPct,
+              static_cast<long long>(G.Stats.get("semantic_commut_checks")),
+              static_cast<long long>(G.Stats.get("smt_queries")));
 }
 
 /// Races the parallel portfolio against the sum-of-orders cost on the
@@ -122,20 +123,13 @@ void BM_SuitePortfolioParallel(benchmark::State &State) {
   // Hub-merged interning telemetry: every racing worker's private tables
   // contribute (docs/PERF.md), not just the winner's.
   SuiteAggregate Par = aggregate(ParRecords);
-  State.counters["intern_hits"] = static_cast<double>(Par.TotalInternHits);
-  State.counters["intern_misses"] =
-      static_cast<double>(Par.TotalInternMisses);
+  // Proof-cache traffic is zero here (no CacheDir in the harness configs)
+  // unless a future config opts the race into a shared store.
+  for (const char *Name : {"intern_hits", "intern_misses", "peak_interned_sets",
+                           "cache_hits", "cache_misses", "rounds_saved_warm"})
+    State.counters[Name] = static_cast<double>(Par.Stats.get(Name));
   State.counters["intern_hit_rate_pct"] = Par.internHitRatePct();
-  State.counters["peak_interned_sets"] =
-      static_cast<double>(Par.TotalPeakInternedSets);
   State.counters["sleepset_bitset_pct"] = Par.sleepsetBitsetPct();
-  // Proof-cache traffic shares the schema with bench_proof_cache; zero
-  // here (no CacheDir in the harness configs) unless a future config opts
-  // the race into a shared store.
-  State.counters["cache_hits"] = static_cast<double>(Par.TotalCacheHits);
-  State.counters["cache_misses"] = static_cast<double>(Par.TotalCacheMisses);
-  State.counters["rounds_saved_warm"] =
-      static_cast<double>(Par.TotalRoundsSavedWarm);
 }
 BENCHMARK(BM_SuitePortfolioParallel)
     ->Unit(benchmark::kMillisecond)
@@ -150,15 +144,11 @@ void BM_SuiteGemcutterSmall(benchmark::State &State) {
     benchmark::DoNotOptimize(Records.size());
     Last = aggregate(Records);
   }
-  // Exported into --benchmark_out JSON so BENCH_*.json tracks the SMT-query
-  // savings of the static commutativity tier over time.
-  State.counters["commut_queries"] =
-      static_cast<double>(Last.TotalCommutQueries);
-  State.counters["commut_static"] =
-      static_cast<double>(Last.TotalCommutStatic);
-  State.counters["semantic_commut_checks"] =
-      static_cast<double>(Last.TotalSemanticChecks);
-  State.counters["smt_queries"] = static_cast<double>(Last.TotalSmtQueries);
+  // Exported into --benchmark_out JSON: the SMT-query savings of the
+  // static commutativity tier.
+  for (const char *Name : {"commut_queries", "commut_static",
+                           "semantic_commut_checks", "smt_queries"})
+    State.counters[Name] = static_cast<double>(Last.Stats.get(Name));
 }
 BENCHMARK(BM_SuiteGemcutterSmall)->Unit(benchmark::kMillisecond)->Iterations(1);
 

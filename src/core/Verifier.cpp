@@ -46,6 +46,10 @@ constexpr size_t SeedPredicateCap = 64;
 /// Cap on the predicates read from, or written to, one proof-cache record:
 /// bounds the Hoare query burst an adversarial or bloated record can cause.
 constexpr size_t CachePredicateCap = 4096;
+/// Refinement rounds before a run gives up with Timeout.
+constexpr int MaxRounds = 500;
+/// DFS states one proof-check round may visit before it aborts.
+constexpr size_t MaxVisitedPerRound = 4000000;
 
 /// True iff Sub (sorted) is a subset of Super (sorted).
 bool isSubset(const PredSet &Sub, const PredSet &Super) {
@@ -631,7 +635,7 @@ Verifier::Impl::RoundResult Verifier::Impl::checkProofRound() {
     // the mask keeps the clock read off the per-step path. This is the
     // innermost poll point of the cancellation contract (docs/RUNTIME.md).
     if ((++Steps & 0x3FF) == 0 &&
-        (stopRequested() || Visited.size() > Config.MaxVisitedPerRound)) {
+        (stopRequested() || Visited.size() > MaxVisitedPerRound)) {
       EndRound();
       return {RoundResult::Kind::Aborted, {}};
     }
@@ -673,7 +677,7 @@ VerificationResult Verifier::Impl::run() {
   Timer Total;
   OwnDeadline.armDeadline(Config.TimeoutSeconds);
 
-  for (int Round = 1; Round <= Config.MaxRounds; ++Round) {
+  for (int Round = 1; Round <= MaxRounds; ++Round) {
     Result.Rounds = Round;
     if (stopRequested()) {
       Result.V = stoppedVerdict(Verdict::Timeout);
@@ -742,7 +746,7 @@ VerificationResult Verifier::Impl::run() {
       Result.V = stoppedVerdict(Verdict::Unknown);
       break;
     }
-    if (Round == Config.MaxRounds)
+    if (Round == MaxRounds)
       Result.V = Verdict::Timeout;
   }
 

@@ -122,12 +122,10 @@ struct VerifierConfig {
   /// axis of the differential gate (docs/CHECKS.md) enforces this. Disable
   /// with --no-incremental to get one fresh solver instance per query.
   bool IncrementalSmt = true;
-  int MaxRounds = 500;
   /// Per-run deadline; mapped onto the cancellation mechanism (the verifier
   /// arms an internal runtime::CancellationToken deadline and polls it at
   /// the same sites as Cancel below). Non-positive disables.
   double TimeoutSeconds = 60;
-  uint64_t MaxVisitedPerRound = 4000000;
   /// External cancellation token (the parallel portfolio's race). Polled in
   /// the refinement loop, inside the proof-check DFS, and before each
   /// semantic commutativity query; see docs/RUNTIME.md for the contract.

@@ -5,7 +5,8 @@
 /// run, one slice of suites x arms per test, so a failure names the suite
 /// or arm group it is in. Each slice applies the axis's own rules: all its
 /// arms agree, every decisive verdict is the expected one, and every
-/// counter relation over kept arms holds. docs/CHECKS.md lists the axes.
+/// counter relation over kept arms holds (a total only when the slice
+/// keeps all of its suites). docs/CHECKS.md lists the axes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,8 +31,9 @@ int runSlice(const std::string &Axis, std::vector<std::string> Suites,
   return check::runAxis(Axis, Opts);
 }
 
-/// Fused vs unfused seq order, pruned program: fused visited <= unfused,
-/// and at least one fused transaction, per suite.
+/// Fused vs unfused seq order, pruned program: fused visited <= unfused
+/// and under the suite's cap, and at least one fused transaction, per
+/// suite.
 int fusionSuite(const std::string &Suite) {
   return runSlice("fusion", {Suite}, {"unfused", "fused"});
 }
@@ -79,6 +81,15 @@ TEST(IncrementalDifferential, LoopHeavySuite) {
 
 TEST(IncrementalDifferential, AffineSuite) {
   EXPECT_EQ(incrementalSuite("affine"), 0);
+}
+
+/// Sessions on vs off on the full static stack over all of tier 1: the
+/// sessions spend at most 70% of the fresh arm's solver time.
+TEST(IncrementalDifferential, SessionsSaveSolverTime) {
+  EXPECT_EQ(runSlice("incremental",
+                     {"svcomp", "weaver", "loop_heavy", "affine"},
+                     {"full/inc", "full/fresh"}),
+            0);
 }
 
 /// The other three tier arms x inc/fresh on every third workload of tier

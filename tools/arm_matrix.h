@@ -25,7 +25,8 @@ struct CheckOptions {
   unsigned Jobs = 0;          ///< race workers; 0 = hardware concurrency
   uint64_t RandSeedBase = 0;
   /// Runs only the named suites / arms of the axis; empty keeps them all.
-  /// A relation or report counter that reads a dropped arm is dropped too.
+  /// A relation or report counter that reads a dropped arm is dropped too,
+  /// and so is a relation over the total of a dropped suite.
   std::vector<std::string> Suites, Arms;
 };
 

@@ -7,11 +7,15 @@
 # root. Fails when the measured wall time regresses
 # by more than the tolerance (default 15%, override with
 # SEQVER_PERF_TOLERANCE_PCT). A single retry absorbs scheduler noise
-# before declaring a regression.
+# before declaring a regression. Then gates bench_commut_oracle's
+# semantic-query savings against BENCH_commut_oracle.json. The counter
+# gates of the fusion, incremental and proof-cache layers are relations of
+# their seqver --check axes (docs/CHECKS.md).
 #
 # Usage: tools/check_perf.sh [build-dir] [--update]
 #   build-dir  defaults to ./build
-#   --update   rewrite the repo-root baseline from this run and exit green
+#   --update   rewrite BENCH_hotpath.json and BENCH_commut_oracle.json at
+#              the repo root from this run and exit green
 set -eu
 
 TOOLS_DIR=$(CDPATH= cd -- "$(dirname -- "$0")" && pwd)
@@ -29,15 +33,9 @@ done
 BENCH="$BUILD_DIR/bench/bench_hotpath"
 BASELINE="$REPO_DIR/BENCH_hotpath.json"
 CURRENT="$BUILD_DIR/BENCH_hotpath.json"
-FUSION_BENCH="$BUILD_DIR/bench/bench_fusion"
-FUSION_BASELINE="$REPO_DIR/BENCH_fusion.json"
-FUSION_CURRENT="$BUILD_DIR/BENCH_fusion.json"
 COMMUT_BENCH="$BUILD_DIR/bench/bench_commut_oracle"
 COMMUT_BASELINE="$REPO_DIR/BENCH_commut_oracle.json"
 COMMUT_CURRENT="$BUILD_DIR/BENCH_commut_oracle.json"
-INCR_BENCH="$BUILD_DIR/bench/bench_incremental"
-INCR_BASELINE="$REPO_DIR/BENCH_incremental.json"
-INCR_CURRENT="$BUILD_DIR/BENCH_incremental.json"
 TOLERANCE="${SEQVER_PERF_TOLERANCE_PCT:-15}"
 
 if [ ! -x "$BENCH" ]; then
@@ -46,7 +44,7 @@ if [ ! -x "$BENCH" ]; then
 fi
 
 # Extracts a numeric field from the flat one-field-per-line JSON that
-# bench_hotpath writes (no python/jq dependency).
+# bench_hotpath and bench_commut_oracle write (no python/jq dependency).
 json_field() {
   awk -F': ' -v key="\"$2\"" '$1 ~ key { gsub(/[ ,]/, "", $2); print $2 }' \
     "$1"
@@ -59,24 +57,9 @@ run_bench() {
   }
 }
 
-run_fusion_bench() {
-  "$FUSION_BENCH" --benchmark_out="$FUSION_CURRENT" \
-                  --benchmark_out_format=json >/dev/null || {
-    echo "error: bench_fusion failed" >&2
-    exit 2
-  }
-}
-
 run_commut_bench() {
   "$COMMUT_BENCH" "$COMMUT_CURRENT" >/dev/null || {
     echo "error: bench_commut_oracle failed" >&2
-    exit 2
-  }
-}
-
-run_incr_bench() {
-  "$INCR_BENCH" "$INCR_CURRENT" >/dev/null || {
-    echo "error: bench_incremental failed" >&2
     exit 2
   }
 }
@@ -86,20 +69,10 @@ run_bench
 if [ "$UPDATE" = 1 ]; then
   cp "$CURRENT" "$BASELINE"
   echo "baseline updated: $BASELINE"
-  if [ -x "$FUSION_BENCH" ]; then
-    run_fusion_bench
-    cp "$FUSION_CURRENT" "$FUSION_BASELINE"
-    echo "baseline updated: $FUSION_BASELINE"
-  fi
   if [ -x "$COMMUT_BENCH" ]; then
     run_commut_bench
     cp "$COMMUT_CURRENT" "$COMMUT_BASELINE"
     echo "baseline updated: $COMMUT_BASELINE"
-  fi
-  if [ -x "$INCR_BENCH" ]; then
-    run_incr_bench
-    cp "$INCR_CURRENT" "$INCR_BASELINE"
-    echo "baseline updated: $INCR_BASELINE"
   fi
   exit 0
 fi
@@ -135,45 +108,6 @@ else
     echo "FAIL: suite wall time regressed beyond ${TOLERANCE}% of baseline" >&2
     exit 1
   fi
-fi
-
-# Fusion gate: the fused DFS state count over the tier-1 suites is
-# deterministic (seq order), so it must not grow beyond tolerance of the
-# BENCH_fusion.json baseline, and the loop-heavy and affine suites must
-# keep a strict fused-vs-unfused reduction.
-if [ -x "$FUSION_BENCH" ] && [ -f "$FUSION_BASELINE" ]; then
-  run_fusion_bench
-  BASE_FUSED=$(json_field "$FUSION_BASELINE" visited_fused_total)
-  CURR_FUSED=$(json_field "$FUSION_CURRENT" visited_fused_total)
-  CURR_UNFUSED=$(json_field "$FUSION_CURRENT" visited_unfused_total)
-  if [ -z "$BASE_FUSED" ] || [ -z "$CURR_FUSED" ]; then
-    echo "error: visited_fused_total missing from fusion baseline or current JSON" >&2
-    exit 2
-  fi
-  awk -v base="$BASE_FUSED" -v curr="$CURR_FUSED" -v unfused="$CURR_UNFUSED" \
-      -v tol="$TOLERANCE" '
-    BEGIN {
-      limit = base * (1 + tol / 100)
-      pct = base > 0 ? 100 * (curr - base) / base : 0
-      printf "fused DFS states: baseline=%d current=%d (%+.1f%%, tolerance %s%%; unfused=%d)\n", \
-             base, curr, pct, tol, unfused
-      exit curr > limit ? 1 : 0
-    }' || {
-    echo "FAIL: fused DFS state count regressed beyond ${TOLERANCE}% of baseline" >&2
-    exit 1
-  }
-  for SUITE in loop_heavy affine; do
-    S_FUSED=$(json_field "$FUSION_CURRENT" "visited_fused_$SUITE")
-    S_UNFUSED=$(json_field "$FUSION_CURRENT" "visited_unfused_$SUITE")
-    awk -v f="$S_FUSED" -v u="$S_UNFUSED" -v s="$SUITE" '
-      BEGIN {
-        printf "fusion %s: %d unfused vs %d fused\n", s, u, f
-        exit (f < u) ? 0 : 1
-      }' || {
-      echo "FAIL: fusion no longer strictly shrinks the $SUITE suite" >&2
-      exit 1
-    }
-  done
 fi
 
 # Commutativity-oracle gate: the shared and persisted-warm arms of
@@ -213,43 +147,6 @@ if [ -x "$COMMUT_BENCH" ] && [ -f "$COMMUT_BASELINE" ]; then
     run_commut_bench
     if ! check_commut; then
       echo "FAIL: shared commutativity oracle lost its semantic-query savings" >&2
-      exit 1
-    fi
-  fi
-fi
-
-# Incremental-session gate: bench_incremental's solver wall-second savings
-# (incremental sessions vs one throwaway solver per query) must stay at or
-# above the floor — default 30%, override with SEQVER_INCR_MIN_SAVINGS_PCT —
-# a safety margin under the ~70% the checked-in baseline demonstrates. One
-# retry absorbs scheduler noise; verdict agreement between the arms is
-# enforced by the bench itself (and seqver --check=incremental).
-if [ -x "$INCR_BENCH" ] && [ -f "$INCR_BASELINE" ]; then
-  INCR_FLOOR="${SEQVER_INCR_MIN_SAVINGS_PCT:-30}"
-  check_incr() {
-    SAVINGS=$(json_field "$INCR_CURRENT" incremental_savings_pct)
-    SESSIONS=$(json_field "$INCR_CURRENT" smt_sessions)
-    BASE_SAVINGS=$(json_field "$INCR_BASELINE" incremental_savings_pct)
-    if [ -z "$SAVINGS" ] || [ -z "$SESSIONS" ] || [ -z "$BASE_SAVINGS" ]; then
-      echo "error: incremental fields missing from baseline or current JSON" >&2
-      exit 2
-    fi
-    awk -v sav="$SAVINGS" -v base="$BASE_SAVINGS" -v sess="$SESSIONS" \
-        -v floor="$INCR_FLOOR" '
-      BEGIN {
-        printf "incremental sessions: %.1f%% solver wall saved (baseline %.1f%%, floor %s%%), %d sessions\n", \
-               sav, base, floor, sess
-        exit (sav >= floor && sess > 0) ? 0 : 1
-      }'
-  }
-  run_incr_bench
-  if check_incr; then
-    :
-  else
-    echo "incremental gate failed; retrying once to rule out scheduler noise..."
-    run_incr_bench
-    if ! check_incr; then
-      echo "FAIL: incremental SMT sessions lost their solver wall-second savings" >&2
       exit 1
     fi
   fi
