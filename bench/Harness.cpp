@@ -113,25 +113,6 @@ RunRecord seqver::bench::runTool(const workloads::WorkloadInstance &W,
     Out.Stats = R.Merged;
     return Out;
   }
-  if (Tool == "gemcutter-oct")
-    return runPortfolioVariant(W, Tool, [](VerifierConfig &C) {
-      C.SeedProof = true;
-    });
-  if (Tool == "gemcutter-nooct")
-    return runPortfolioVariant(W, Tool, [](VerifierConfig &C) {
-      C.OctagonTier = false;
-      C.KarrTier = false;
-      C.SeedProof = false;
-    });
-  if (Tool == "gemcutter-karr")
-    return runPortfolioVariant(W, Tool, [](VerifierConfig &C) {
-      C.SeedProof = true;
-    });
-  if (Tool == "gemcutter-nokarr")
-    return runPortfolioVariant(W, Tool, [](VerifierConfig &C) {
-      C.KarrTier = false;
-      C.SeedProof = true;
-    });
   if (Tool == "sleep")
     return runPortfolioVariant(W, Tool, [](VerifierConfig &C) {
       C.UsePersistentSets = false;

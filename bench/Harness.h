@@ -66,16 +66,6 @@ double benchTimeout();
 ///                        (real wall-clock in WallSeconds; Stats holds the
 ///                        hub-merged counters of every racing order, not
 ///                        just the winner's)
-///   gemcutter-oct        portfolio with octagon proof seeding on top of
-///                        the full static tier stack
-///   gemcutter-nooct      portfolio with the octagon tier and seeding off —
-///                        interval tier only (the Karr tier is off too;
-///                        ablation baseline)
-///   gemcutter-karr       portfolio with proof seeding (octagon + Karr
-///                        atoms) on top of the full static tier stack
-///   gemcutter-nokarr     portfolio with the Karr tier and its seeding off
-///                        but the octagon tier on (isolates the affine
-///                        contribution)
 ///   seq | lockstep | rand(1) | rand(2) | rand(3)
 ///                        single preference order, full reduction
 ///   sleep                portfolio, sleep sets only

@@ -1,12 +1,12 @@
-//===- tests/arm_matrix_test.cpp - Full-suite slices of two axes ----------===//
+//===- tests/arm_matrix_test.cpp - Full-suite slices of four axes ---------===//
 ///
-/// Runs the fusion and incremental axes of the differential arm matrix
-/// (tools/arm_matrix.h) on the full tier-1 suites with a 20 s budget per
-/// run, one slice of suites x arms per test, so a failure names the suite
-/// or arm group it is in. Each slice applies the axis's own rules: all its
-/// arms agree, every decisive verdict is the expected one, and every
-/// counter relation over kept arms holds (a total only when the slice
-/// keeps all of its suites). docs/CHECKS.md lists the axes.
+/// Runs the fusion, incremental, tiers and commut axes of the differential
+/// arm matrix (tools/arm_matrix.h) on the full tier-1 suites with a 20 s
+/// budget per run, one slice of suites x arms per test, so a failure names
+/// the suite or arm group it is in. Each slice applies the axis's own
+/// rules: all its arms agree, every decisive verdict is the expected one,
+/// and every counter relation over kept arms holds (a total only when the
+/// slice keeps all of its suites). docs/CHECKS.md lists the axes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -99,6 +99,24 @@ TEST(IncrementalDifferential, TierArms) {
                      {"no-karr/inc", "no-karr/fresh", "seeded/inc",
                       "seeded/fresh", "int-only/inc", "int-only/fresh"}),
             0);
+}
+
+/// The invariant tiers and proof seeding on the loop-heavy and affine
+/// suites: seeding saves rounds (and its Karr atoms do on affine), the
+/// octagon and Karr sub-tiers save semantic checks under seq and rounds
+/// under rand(1), and under rand(1) they cost a round on no workload.
+TEST(TiersDifferential, InvariantTiersAndSeedsSaveRounds) {
+  EXPECT_EQ(runSlice("tiers", {"loop_heavy", "affine"},
+                     {"full", "seeded", "int-only", "seeded/no-karr",
+                      "full/rand", "int-only/rand"}),
+            0);
+}
+
+/// The shared commutativity oracle on all of tier 1, as one-job races: its
+/// semantic-query count stays under the cap set on these suites, and a
+/// warm start from the persisted oracle asks at most 30% of a cold one's.
+TEST(CommutDifferential, SharedOracleCap) {
+  EXPECT_EQ(runSlice("commut", {}, {}), 0);
 }
 
 /// A filter that names nothing of the axis is a setup error, not a pass.

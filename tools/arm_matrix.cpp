@@ -11,10 +11,12 @@
 #include "analysis/Analysis.h"
 #include "analysis/Fusion.h"
 #include "core/Portfolio.h"
+#include "core/Verifier.h"
 #include "persist/Fingerprint.h"
 #include "persist/ProofCache.h"
 #include "program/CfgBuilder.h"
 #include "reduction/CommutOracle.h"
+#include "reduction/PreferenceOrder.h"
 #include "runtime/ParallelPortfolio.h"
 #include "workloads/Workloads.h"
 
@@ -79,7 +81,8 @@ struct Relation {
   int64_t Bound;
   /// Suites covered; empty means all.
   std::vector<std::string> Suites;
-  /// PerWorkload only: skip workloads where this counter is zero.
+  /// PerWorkload only: skip workloads where this counter is zero; an
+  /// empty counter covers every workload.
   Counter When;
   int64_t Pct = 100;
 };
@@ -146,7 +149,7 @@ int checkRelation(const Axis &A, const Relation &R,
                                       : Scale + R.Rhs.Arm + "." + R.Rhs.Name;
   int Failed = 0;
   for (const auto &[Key, Group] : Groups) {
-    if (R.Per == PerWorkload && sum(A, Group, R.When) == 0)
+    if (!R.When.Arm.empty() && sum(A, Group, R.When) == 0)
       continue;
     int64_t L = sum(A, Group, R.Lhs);
     int64_t Rv = R.Rhs.Arm.empty() ? R.Bound : sum(A, Group, R.Rhs);
@@ -294,24 +297,64 @@ Outcome withWallMs(core::Verdict V, Statistics Stats, double Seconds) {
 using ProgramPrep =
     std::function<void(prog::ConcurrentProgram &, Statistics &)>;
 
-/// The seq order on W's program, after Prep edits it.
-ArmFn seqArm(core::VerifierConfig C, ProgramPrep Prep = {}) {
-  return [C, Prep](const WorkloadInstance &W) {
+/// One preference order (a portfolio order name) on W's program, after
+/// Prep edits it.
+ArmFn orderArm(core::VerifierConfig C, std::string Order,
+               ProgramPrep Prep = {}) {
+  return [C, Order, Prep](const WorkloadInstance &W) {
     smt::TermManager TM;
     prog::BuildResult B = build(W.Source, TM);
     Statistics Stats;
     if (Prep)
       Prep(*B.Program, Stats);
-    core::VerificationResult R = core::runSingleOrder(*B.Program, C, "seq");
+    core::VerificationResult R = core::runSingleOrder(*B.Program, C, Order);
     Stats.mergeFrom(R.Stats);
     return withWallMs(R.V, std::move(Stats), R.Seconds);
   };
 }
 
+/// The seq order on W's program, after Prep edits it.
+ArmFn seqArm(core::VerifierConfig C, ProgramPrep Prep = {}) {
+  return orderArm(std::move(C), "seq", std::move(Prep));
+}
+
+/// Every portfolio order on W's program, one after another and each to its
+/// end, so no winner stops the others and the counters repeat. With
+/// SharedOracle the orders share one fresh commutativity oracle: each
+/// reuses what the earlier ones settled. The verdict is the first decisive
+/// one in priority order.
+ArmFn everyOrderArm(core::VerifierConfig C, bool SharedOracle) {
+  return [C, SharedOracle](const WorkloadInstance &W) {
+    smt::TermManager TM;
+    prog::BuildResult B = build(W.Source, TM);
+    red::CommutOracle Table;
+    core::VerifierConfig Config = C;
+    Config.SharedCommut = SharedOracle ? &Table : nullptr;
+    Outcome O;
+    double Seconds = 0;
+    for (const auto &Order :
+         red::makePortfolioOrders(*B.Program, C.RandOrders, C.RandSeedBase)) {
+      Config.Order = Order.get();
+      core::VerificationResult R = core::Verifier(*B.Program, Config).run();
+      if (!core::isDecisive(O.V))
+        O.V = R.V;
+      O.Stats.mergeFrom(R.Stats);
+      Seconds += R.Seconds;
+    }
+    return withWallMs(O.V, std::move(O.Stats), Seconds);
+  };
+}
+
+/// W's own store under Dir. Programs that fingerprint alike (tier 1 has
+/// five such pairs) would otherwise warm each other's cold runs.
+std::string storeDir(const std::string &Dir, const WorkloadInstance &W) {
+  return (std::filesystem::path(Dir) / W.Name).string();
+}
+
 /// The parallel portfolio race; counters are the workers' merged sinks.
 /// With SharedOracle, the race gets a fresh shared commutativity oracle;
-/// a non-empty Dir binds it to disk, so it loads what an earlier arm
-/// flushed, and flushes it after the race.
+/// a non-empty Dir binds it to W's store there, so it loads what an
+/// earlier arm flushed, and flushes it after the race.
 ArmFn raceArm(core::VerifierConfig C, runtime::ParallelConfig PC,
               bool SharedOracle = false, std::string Dir = "") {
   return [C, PC, SharedOracle, Dir](const WorkloadInstance &W) {
@@ -323,7 +366,8 @@ ArmFn raceArm(core::VerifierConfig C, runtime::ParallelConfig PC,
       // The workers build the plain program: no pruning, no fusion.
       smt::TermManager TM;
       Loaded = Table.bindDisk(
-          Dir, persist::fingerprintProgram(*build(W.Source, TM).Program));
+          storeDir(Dir, W),
+          persist::fingerprintProgram(*build(W.Source, TM).Program));
     }
     runtime::ParallelPortfolioResult R =
         runtime::runPortfolioParallel(W.Source, C, Race);
@@ -379,16 +423,51 @@ const std::pair<const char *, void (*)(core::VerifierConfig &)> TierArms[] = {
 Axis tiersAxis(const core::VerifierConfig &Base, runtime::ParallelConfig,
                const std::string &) {
   Axis A{tier1Suites(), {}, {}, {}};
+  // The rounds and semantic-check rules hold for whole suites only: quick
+  // runs keep loop_heavy and affine in full.
+  A.Suites[2].Sampled = A.Suites[3].Sampled = false;
+  std::map<std::string, core::VerifierConfig> Tier;
   for (const auto &[Name, Edit] : TierArms) {
-    core::VerifierConfig C = Base;
-    Edit(C);
-    A.Arms.push_back({Name, seqArm(C)});
+    Edit(Tier[Name] = Base);
+    A.Arms.push_back({Name, seqArm(Tier[Name])});
   }
-  A.Report = {{"full", "commut_octagon"},       {"full", "commut_karr"},
+  core::VerifierConfig SeededNoKarr = Tier["seeded"];
+  SeededNoKarr.KarrTier = false;
+  A.Arms.push_back({"seeded/no-karr", seqArm(SeededNoKarr)});
+  // Under seq the octagon and Karr sub-tiers change no round on tier 1;
+  // under rand(1) they do, as proof-sensitive reduction depends on the
+  // order.
+  // The rand relations were measured on rand(1): pin its seed whatever
+  // --rand-seed says.
+  for (const char *Name : {"full", "int-only"}) {
+    core::VerifierConfig C = Tier[Name];
+    C.RandSeedBase = 0;
+    A.Arms.push_back({std::string(Name) + "/rand", orderArm(C, "rand(1)")});
+  }
+  const std::vector<std::string> Loops = {"loop_heavy", "affine"};
+  A.Relations = {
+      compare(PerSuite, {"seeded", "rounds"}, Less, {"int-only", "rounds"},
+              Loops),
+      compare(PerSuite, {"full", "semantic_commut_checks"}, Less,
+              {"int-only", "semantic_commut_checks"}, Loops),
+      compare(PerSuite, {"full/rand", "rounds"}, Less,
+              {"int-only/rand", "rounds"}, Loops),
+      compare(PerSuite, {"seeded", "rounds"}, Less,
+              {"seeded/no-karr", "rounds"}, {"affine"}),
+      compare(PerWorkload, {"full/rand", "rounds"}, LessEq,
+              {"int-only/rand", "rounds"})};
+  A.Report = {{"full", "commut_octagon"},
+              {"full", "commut_karr"},
               {"full", "semantic_commut_checks"},
               {"no-karr", "semantic_commut_checks"},
-              {"seeded", "karr_seeded"},        {"seeded", "rounds"},
-              {"int-only", "rounds"}};
+              {"int-only", "semantic_commut_checks"},
+              {"seeded", "karr_seeded"},
+              {"full", "rounds"},
+              {"seeded", "rounds"},
+              {"seeded/no-karr", "rounds"},
+              {"int-only", "rounds"},
+              {"full/rand", "rounds"},
+              {"int-only/rand", "rounds"}};
   return A;
 }
 
@@ -405,16 +484,24 @@ Axis parallelAxis(const core::VerifierConfig &Base,
 
 Axis cacheAxis(const core::VerifierConfig &Base, runtime::ParallelConfig,
                const std::string &Dir) {
-  core::VerifierConfig C = Base;
-  C.CacheDir = Dir;
+  auto InStore = [Base, Dir](const WorkloadInstance &W) {
+    core::VerifierConfig C = Base;
+    C.CacheDir = storeDir(Dir, W);
+    return C;
+  };
   Axis A{tier1Suites(), {}, {}, {}};
-  A.Suites.push_back({"poisoned",
-                      {{"loop_sum_poisoned", workloads::loopSumSource(4, true),
-                        false, "loop_heavy"}},
-                      /*Sampled=*/false,
-                      [C](const WorkloadInstance &W) { poison(C, W); }});
-  A.Arms = {{"cold", seqArm(C)}, {"warm", seqArm(C)}};
+  A.Suites.push_back(
+      {"poisoned",
+       {{"loop_sum_poisoned", workloads::loopSumSource(4, true), false,
+         "loop_heavy"}},
+       /*Sampled=*/false,
+       [InStore](const WorkloadInstance &W) { poison(InStore(W), W); }});
+  ArmFn Cached = [InStore](const WorkloadInstance &W) {
+    return seqArm(InStore(W))(W);
+  };
+  A.Arms = {{"cold", Cached}, {"warm", Cached}};
   A.Relations = {
+      bound(Total, {"cold", "cache_hits"}, Less, 1, Tier1),
       bound(Total, {"warm", "cache_hits"}, AtLeast, 1, Tier1),
       compare(Total, {"warm", "rounds"}, Less, {"cold", "rounds"}, Tier1),
       bound(PerSuite, {"cold", "cache_hits"}, AtLeast, 1, {"poisoned"})};
@@ -466,15 +553,41 @@ Axis commutAxis(const core::VerifierConfig &Base, runtime::ParallelConfig PC,
   // compare the same runs every time instead of racing winners.
   PC.Jobs = 1;
   Axis A{tier1Suites(), {}, {}, {}};
-  A.Arms = {{"off", raceArm(Base, PC)},
-            {"shared", raceArm(Base, PC, true)},
+  // The sharing axis owns the savings of the shared oracle; this one caps
+  // its query count and checks the persisted warm start.
+  A.Arms = {{"shared", raceArm(Base, PC, true)},
             {"cold", raceArm(Base, PC, true, Dir)},
             {"warm", raceArm(Base, PC, true, Dir)}};
-  A.Relations = {compare(Total, {"shared", "commut_semantic"}, Less,
-                         {"off", "commut_semantic"}),
-                 compare(Total, {"warm", "commut_semantic"}, Less,
-                         {"cold", "commut_semantic"})};
+  Counter Shared{"shared", "commut_semantic"}, Cold{"cold", "commut_semantic"},
+      Warm{"warm", "commut_semantic"};
+  A.Relations = {compare(Total, Warm, Less, Cold),
+                 compare(Total, Warm, LessEq, Cold, {}, 30),
+                 // Within 15% of the shared arm's count on the full suites
+                 // when this bound was set (3,929): floor(1.15 * 3929).
+                 bound(Total, Shared, LessEq, 4518)};
   A.Report = {{"shared", "commut_shared_hits"}, {"warm", "commut_loaded"}};
+  return A;
+}
+
+Axis sharingAxis(const core::VerifierConfig &Base, runtime::ParallelConfig,
+                 const std::string &) {
+  // The bluetooth family is refinement-bound: its semantic queries carry
+  // each order's own proof predicates, which no sharing can deduplicate,
+  // and they outnumber the rest of tier 1's.
+  Axis A{tier1Suites(), {}, {}, {}};
+  for (Suite &S : A.Suites)
+    std::erase_if(S.Workloads, [](const WorkloadInstance &W) {
+      return W.Family == "bluetooth";
+    });
+  // Every order runs to its end, as if no race stopped the losers: sharing
+  // saves the queries a later order would ask again.
+  A.Arms = {{"private", everyOrderArm(Base, false)},
+            {"shared", everyOrderArm(Base, true)}};
+  A.Relations = {compare(Total, {"shared", "commut_semantic"}, LessEq,
+                         {"private", "commut_semantic"}, {}, 70)};
+  A.Report = {{"private", "commut_semantic"},
+              {"shared", "commut_semantic"},
+              {"shared", "commut_shared_hits"}};
   return A;
 }
 
@@ -520,7 +633,8 @@ using AxisBuilder = Axis (*)(const core::VerifierConfig &,
 const std::pair<const char *, AxisBuilder> Axes[] = {
     {"tiers", tiersAxis},   {"parallel", parallelAxis},
     {"cache", cacheAxis},   {"fusion", fusionAxis},
-    {"commut", commutAxis}, {"incremental", incrementalAxis}};
+    {"commut", commutAxis}, {"sharing", sharingAxis},
+    {"incremental", incrementalAxis}};
 
 } // namespace
 
@@ -536,7 +650,7 @@ int seqver::check::runAxis(const std::string &Name,
   Base.RandSeedBase = Opts.RandSeedBase;
   runtime::ParallelConfig PC;
   PC.Jobs = Opts.Jobs;
-  // The cache and commut arms share one store that must start empty.
+  // The cache and commut arms keep their stores here; it starts empty.
   std::string Dir = (std::filesystem::temp_directory_path() /
                      ("seqver-check-" + Name + "-" + std::to_string(getpid())))
                         .string();

@@ -30,8 +30,8 @@ struct CheckOptions {
   std::vector<std::string> Suites, Arms;
 };
 
-/// True iff Name is an axis: tiers, parallel, cache, fusion, commut or
-/// incremental.
+/// True iff Name is an axis: tiers, parallel, cache, fusion, commut,
+/// sharing or incremental.
 bool isAxis(const std::string &Name);
 
 /// Runs one axis and prints its report. Returns the process exit code: 0

@@ -44,6 +44,12 @@ done
           --simulate=3 "$PROBE" > /dev/null || fail "valid numbers rejected"
 echo "input validation: ok"
 
+# The tiers axis's rand arms name rand(1), which exists under any
+# --rand-seed only because the axis pins their seed.
+"$SEQVER" --check=tiers,quick --rand-seed=1 > /dev/null \
+  || fail "seqver --check=tiers,quick --rand-seed=1 failed"
+echo "tiers under --rand-seed: ok"
+
 # 2. The per-worker commut_karr survives the hub merge. The winner may
 # settle before it consults the affine tier, so read the merged totals.
 MERGED=$("$SEQVER" --stats "$PROBE" | grep '^merged stats:' || true)

@@ -7,15 +7,15 @@
 # root. Fails when the measured wall time regresses
 # by more than the tolerance (default 15%, override with
 # SEQVER_PERF_TOLERANCE_PCT). A single retry absorbs scheduler noise
-# before declaring a regression. Then gates bench_commut_oracle's
-# semantic-query savings against BENCH_commut_oracle.json. The counter
-# gates of the fusion, incremental and proof-cache layers are relations of
-# their seqver --check axes (docs/CHECKS.md).
+# before declaring a regression. The counter gates of the other layers
+# (fusion, incremental solving, the proof cache, the invariant tiers and
+# the commutativity oracle) are relations of their seqver --check axes
+# (docs/CHECKS.md).
 #
 # Usage: tools/check_perf.sh [build-dir] [--update]
 #   build-dir  defaults to ./build
-#   --update   rewrite BENCH_hotpath.json and BENCH_commut_oracle.json at
-#              the repo root from this run and exit green
+#   --update   rewrite BENCH_hotpath.json at the repo root from this run
+#              and exit green
 set -eu
 
 TOOLS_DIR=$(CDPATH= cd -- "$(dirname -- "$0")" && pwd)
@@ -33,9 +33,6 @@ done
 BENCH="$BUILD_DIR/bench/bench_hotpath"
 BASELINE="$REPO_DIR/BENCH_hotpath.json"
 CURRENT="$BUILD_DIR/BENCH_hotpath.json"
-COMMUT_BENCH="$BUILD_DIR/bench/bench_commut_oracle"
-COMMUT_BASELINE="$REPO_DIR/BENCH_commut_oracle.json"
-COMMUT_CURRENT="$BUILD_DIR/BENCH_commut_oracle.json"
 TOLERANCE="${SEQVER_PERF_TOLERANCE_PCT:-15}"
 
 if [ ! -x "$BENCH" ]; then
@@ -44,7 +41,7 @@ if [ ! -x "$BENCH" ]; then
 fi
 
 # Extracts a numeric field from the flat one-field-per-line JSON that
-# bench_hotpath and bench_commut_oracle write (no python/jq dependency).
+# bench_hotpath writes (no python/jq dependency).
 json_field() {
   awk -F': ' -v key="\"$2\"" '$1 ~ key { gsub(/[ ,]/, "", $2); print $2 }' \
     "$1"
@@ -57,23 +54,11 @@ run_bench() {
   }
 }
 
-run_commut_bench() {
-  "$COMMUT_BENCH" "$COMMUT_CURRENT" >/dev/null || {
-    echo "error: bench_commut_oracle failed" >&2
-    exit 2
-  }
-}
-
 run_bench
 
 if [ "$UPDATE" = 1 ]; then
   cp "$CURRENT" "$BASELINE"
   echo "baseline updated: $BASELINE"
-  if [ -x "$COMMUT_BENCH" ]; then
-    run_commut_bench
-    cp "$COMMUT_CURRENT" "$COMMUT_BASELINE"
-    echo "baseline updated: $COMMUT_BASELINE"
-  fi
   exit 0
 fi
 
@@ -107,48 +92,6 @@ else
   if ! check_wall; then
     echo "FAIL: suite wall time regressed beyond ${TOLERANCE}% of baseline" >&2
     exit 1
-  fi
-fi
-
-# Commutativity-oracle gate: the shared and persisted-warm arms of
-# bench_commut_oracle must keep their semantic-query savings. The counts
-# are race-timing dependent, so the gate checks drop *floors* (shared
-# >= 30%, persisted-warm >= 70% — a safety margin under the 40%/80% the
-# checked-in baseline demonstrates) plus a generous ceiling on the shared
-# arm's absolute query count against the baseline, with one retry for
-# scheduler noise. Verdict agreement is seqver --check=commut's job; here
-# only the savings are gated.
-if [ -x "$COMMUT_BENCH" ] && [ -f "$COMMUT_BASELINE" ]; then
-  COMMUT_TOL="${SEQVER_COMMUT_TOLERANCE_PCT:-50}"
-  check_commut() {
-    BASE_SEM=$(json_field "$COMMUT_BASELINE" commut_semantic_shared)
-    CURR_SEM=$(json_field "$COMMUT_CURRENT" commut_semantic_shared)
-    SHARED_DROP=$(json_field "$COMMUT_CURRENT" shared_drop_pct)
-    WARM_DROP=$(json_field "$COMMUT_CURRENT" warm_drop_pct)
-    if [ -z "$BASE_SEM" ] || [ -z "$CURR_SEM" ] || [ -z "$SHARED_DROP" ] \
-       || [ -z "$WARM_DROP" ]; then
-      echo "error: commut oracle fields missing from baseline or current JSON" >&2
-      exit 2
-    fi
-    awk -v base="$BASE_SEM" -v curr="$CURR_SEM" -v shared="$SHARED_DROP" \
-        -v warm="$WARM_DROP" -v tol="$COMMUT_TOL" '
-      BEGIN {
-        limit = base * (1 + tol / 100)
-        printf "commut oracle: shared arm %d semantic queries (baseline %d, tolerance %s%%), drops shared=%.1f%% warm=%.1f%%\n", \
-               curr, base, tol, shared, warm
-        exit (curr <= limit && shared >= 30 && warm >= 70) ? 0 : 1
-      }'
-  }
-  run_commut_bench
-  if check_commut; then
-    :
-  else
-    echo "commut gate failed; retrying once to rule out race-timing noise..."
-    run_commut_bench
-    if ! check_commut; then
-      echo "FAIL: shared commutativity oracle lost its semantic-query savings" >&2
-      exit 1
-    fi
   fi
 fi
 

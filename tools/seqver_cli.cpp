@@ -118,7 +118,7 @@ struct CliOptions {
 void printUsage() {
   std::printf(
       "usage: seqver [options] <file.conc>\n"
-      "       seqver --check=<tiers|parallel|cache|fusion|commut|"
+      "       seqver --check=<tiers|parallel|cache|fusion|commut|sharing|"
       "incremental>[,quick]\n"
       "  --order=<seq|lockstep|rand(n+1)|rand(n+2)|rand(n+3)|baseline>\n"
       "  --jobs=<n> (1: sequential portfolio) --rand-seed=<n>\n"
