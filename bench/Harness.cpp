@@ -6,8 +6,10 @@
 #include "runtime/ParallelPortfolio.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 using namespace seqver;
 using namespace seqver::bench;
@@ -58,6 +60,16 @@ RunRecord runPortfolioVariant(const workloads::WorkloadInstance &W,
   VerificationResult Best;
   std::string BestOrder;
   bool HaveBest = false;
+  double Fastest = 0;
+  // The winner, whose counters the record reports, is the decisive order
+  // with the fewest rounds, then the fewest visited states, then the
+  // earliest in priority order: a cost that repeats from run to run, unlike
+  // measured seconds. The record's time is still the fastest decisive
+  // order's, the as-if-parallel portfolio's finishing time.
+  auto Cheaper = [](const VerificationResult &A, const VerificationResult &B) {
+    return std::make_pair(A.Rounds, A.Stats.get("visited_total")) <
+           std::make_pair(B.Rounds, B.Stats.get("visited_total"));
+  };
   for (auto &Order : Orders) {
     VerifierConfig Config;
     Config.TimeoutSeconds = benchTimeout();
@@ -66,7 +78,9 @@ RunRecord runPortfolioVariant(const workloads::WorkloadInstance &W,
     core::Verifier V(*B.Program, Config);
     VerificationResult R = V.run();
     bool Decisive = R.V == Verdict::Correct || R.V == Verdict::Incorrect;
-    if (Decisive && (!HaveBest || R.Seconds < Best.Seconds)) {
+    if (Decisive)
+      Fastest = HaveBest ? std::min(Fastest, R.Seconds) : R.Seconds;
+    if (Decisive && (!HaveBest || Cheaper(R, Best))) {
       Best = R;
       BestOrder = Order->name();
       HaveBest = true;
@@ -76,6 +90,8 @@ RunRecord runPortfolioVariant(const workloads::WorkloadInstance &W,
       BestOrder = Order->name();
     }
   }
+  if (HaveBest)
+    Best.Seconds = Fastest;
   return toRecord(W, Tool, Best, BestOrder);
 }
 

@@ -61,7 +61,10 @@ double benchTimeout();
 /// Tool names understood by runTool:
 ///   automizer            baseline, no reduction (Sec. 8's comparison)
 ///   gemcutter            portfolio over seq/lockstep/rand(1..3),
-///                        sequential as-if-parallel emulation
+///                        sequential as-if-parallel emulation: the fastest
+///                        decisive order's time; the counters, rounds and
+///                        BestOrder of the decisive order with the fewest
+///                        rounds, then visited_total, then priority
 ///   gemcutter-par        the same portfolio raced on the parallel runtime
 ///                        (real wall-clock in WallSeconds; Stats holds the
 ///                        hub-merged counters of every racing order, not

@@ -4,7 +4,7 @@
 
 #include "support/Timer.h"
 
-#include <cassert>
+#include <stdexcept>
 
 using namespace seqver;
 using namespace seqver::core;
@@ -32,8 +32,8 @@ seqver::core::runSingleOrder(const prog::ConcurrentProgram &P,
     Verifier V(P, Config);
     return V.run();
   }
-  assert(false && "unknown preference order name");
-  return {};
+  throw std::invalid_argument("unknown preference order '" + OrderName +
+                              "'");
 }
 
 AdaptiveResult

@@ -820,6 +820,9 @@ VerificationResult Verifier::Impl::run() {
   Stats.add("smt_sessions", static_cast<int64_t>(QE.numSessions()));
   Stats.add("smt_assumption_solves",
             static_cast<int64_t>(QE.numAssumptionSolves()));
+  Stats.add("smt_sat_solves", static_cast<int64_t>(QE.numSatSolves()));
+  Stats.add("smt_model_tries", static_cast<int64_t>(QE.numModelTries()));
+  Stats.add("smt_model_hits", static_cast<int64_t>(QE.numModelHits()));
   Stats.add("smt_clauses_retained",
             static_cast<int64_t>(QE.numClausesRetained()));
   Stats.add("smt_theory_rounds", static_cast<int64_t>(QE.numTheoryRounds()));

@@ -7,14 +7,21 @@
 using namespace seqver;
 using namespace seqver::smt;
 
-int64_t seqver::smt::evalSum(const LinSum &Sum, const Assignment &Values) {
+namespace {
+
+/// The sum under Values, wrapping on overflow; Overflow is set when a
+/// product or partial sum leaves the int64_t range.
+int64_t sumOf(const LinSum &Sum, const Assignment &Values, bool &Overflow) {
   int64_t Acc = Sum.Constant;
-  for (const auto &[Var, Coeff] : Sum.Terms)
-    Acc += Coeff * Values.intValue(Var);
+  for (const auto &[Var, Coeff] : Sum.Terms) {
+    int64_t Product;
+    Overflow |= __builtin_mul_overflow(Coeff, Values.intValue(Var), &Product);
+    Overflow |= __builtin_add_overflow(Acc, Product, &Acc);
+  }
   return Acc;
 }
 
-bool seqver::smt::evalFormula(Term Formula, const Assignment &Values) {
+bool formulaOf(Term Formula, const Assignment &Values, bool &Overflow) {
   switch (Formula->kind()) {
   case TermKind::BoolConst:
     return Formula->boolValue();
@@ -24,25 +31,44 @@ bool seqver::smt::evalFormula(Term Formula, const Assignment &Values) {
     assert(false && "int term evaluated as formula");
     return false;
   case TermKind::AtomLe:
-    return evalSum(Formula->sum(), Values) <= 0;
+    return sumOf(Formula->sum(), Values, Overflow) <= 0;
   case TermKind::AtomEq:
-    return evalSum(Formula->sum(), Values) == 0;
+    return sumOf(Formula->sum(), Values, Overflow) == 0;
   case TermKind::Not:
-    return !evalFormula(Formula->child(0), Values);
+    return !formulaOf(Formula->child(0), Values, Overflow);
   case TermKind::And:
     for (Term Child : Formula->children())
-      if (!evalFormula(Child, Values))
+      if (!formulaOf(Child, Values, Overflow))
         return false;
     return true;
   case TermKind::Or:
     for (Term Child : Formula->children())
-      if (evalFormula(Child, Values))
+      if (formulaOf(Child, Values, Overflow))
         return true;
     return false;
   case TermKind::Iff:
-    return evalFormula(Formula->child(0), Values) ==
-           evalFormula(Formula->child(1), Values);
+    return formulaOf(Formula->child(0), Values, Overflow) ==
+           formulaOf(Formula->child(1), Values, Overflow);
   }
   assert(false && "unhandled term kind");
   return false;
+}
+
+} // namespace
+
+int64_t seqver::smt::evalSum(const LinSum &Sum, const Assignment &Values) {
+  bool Overflow = false;
+  return sumOf(Sum, Values, Overflow);
+}
+
+bool seqver::smt::evalFormula(Term Formula, const Assignment &Values) {
+  bool Overflow = false;
+  return formulaOf(Formula, Values, Overflow);
+}
+
+bool seqver::smt::satisfies(const Assignment &Values, Term Formula) {
+  // The evaluation short-circuits, so the result depends only on the atoms
+  // it visited; if none of them overflowed, it is exact integer arithmetic.
+  bool Overflow = false;
+  return formulaOf(Formula, Values, Overflow) && !Overflow;
 }

@@ -3,8 +3,9 @@
 /// \file
 /// Evaluates formulas under a total assignment of the program variables.
 /// Used by the explicit-state interpreter (bug-trace replay), by property
-/// tests that cross-check the solver against brute-force enumeration, and by
-/// the theory layer to validate candidate models.
+/// tests that cross-check the solver against brute-force enumeration, by
+/// the theory layer to validate candidate models, and by solver sessions to
+/// answer queries from earlier countermodels.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,11 +36,17 @@ struct Assignment {
   }
 };
 
-/// Evaluates a linear sum under Values.
+/// Evaluates a linear sum under Values; overflow wraps (two's complement).
 int64_t evalSum(const LinSum &Sum, const Assignment &Values);
 
-/// Evaluates a boolean-sorted term under Values.
+/// Evaluates a boolean-sorted term under Values, with evalSum's wrapping.
 bool evalFormula(Term Formula, const Assignment &Values);
+
+/// True iff Values is an integer model of Formula. Sums are computed with
+/// checked arithmetic, and an overflow counts as "not satisfied", so a true
+/// answer never rests on a wrapped value (the solver's model cache answers
+/// Sat from it).
+bool satisfies(const Assignment &Values, Term Formula);
 
 } // namespace smt
 } // namespace seqver

@@ -374,7 +374,8 @@ SolverResult QueryEngine::checkSat(Term Formula) {
     S.watchCancellation(Token);
   S.assertFormula(Formula);
   SolverResult Result = S.check();
-  SolverMicros += static_cast<uint64_t>(Clock.seconds() * 1e6);
+  chargeSolver(Clock);
+  SatSolves += Result == SolverResult::Sat;
   TheoryRoundsTotal += S.numTheoryRoundsTotal();
   ClausesRetained += S.numClausesRetained();
   WarmPivots += S.numWarmPivots();
@@ -394,7 +395,8 @@ SolverResult QueryEngine::checkSatModel(Term Formula, Assignment &ModelOut) {
     S.watchCancellation(Token);
   S.assertFormula(Formula);
   SolverResult Result = S.check();
-  SolverMicros += static_cast<uint64_t>(Clock.seconds() * 1e6);
+  chargeSolver(Clock);
+  SatSolves += Result == SolverResult::Sat;
   TheoryRoundsTotal += S.numTheoryRoundsTotal();
   ClausesRetained += S.numClausesRetained();
   WarmPivots += S.numWarmPivots();
@@ -437,8 +439,6 @@ Solver &Session::solver() {
     S->enableTheoryRootCache();
     for (const runtime::CancellationToken *Token : QE.Watched)
       S->watchCancellation(Token);
-    for (Term F : Permanent)
-      S->assertFormula(F);
     SeenRounds = SeenRetained = SeenWarm = SeenWarmStarts = 0;
   }
   return *S;
@@ -467,19 +467,33 @@ Session::Handle Session::prepare(Term Formula) {
   return H;
 }
 
-void Session::assertAlways(Term Formula) {
-  Permanent.push_back(Formula);
-  if (S)
-    S->assertFormula(Formula);
-  // Permanent premises change what every memoized verdict means.
-  Memo.clear();
-}
-
 void Session::pushContext(Term Formula) { ContextTerms.push_back(Formula); }
 
 void Session::pop() {
   assert(!ContextTerms.empty() && "pop without matching pushContext");
   ContextTerms.pop_back();
+}
+
+bool Session::modelAnswers(Term Conj) {
+  ++QE.ModelTries;
+  Timer Clock;
+  // Newest first, as consecutive queries of a session share most premises.
+  bool Hit = false;
+  for (size_t I = 0; I < Models.size() && !Hit; ++I) {
+    size_t Slot = (NextModel + Models.size() - 1 - I) % Models.size();
+    Hit = satisfies(Models[Slot], Conj);
+  }
+  QE.chargeSolver(Clock);
+  QE.ModelHits += Hit;
+  return Hit;
+}
+
+void Session::remember(std::vector<uint32_t> Key, Term Conj,
+                       SolverResult Result) {
+  if (QE.stopRequested())
+    return;
+  QE.SatCache.emplace(Conj, Result);
+  Memo.emplace(std::move(Key), Result);
 }
 
 SolverResult Session::checkUnder(const std::vector<Handle> &Assumed,
@@ -502,34 +516,35 @@ SolverResult Session::checkUnder(const std::vector<Handle> &Assumed,
     }
   }
 
-  // Without permanent assertions the premise set IS the query, so the
-  // engine-wide SatCache applies under the canonical conjunction key:
-  // another session — or the fresh path — may have answered it already,
-  // and mkAnd's folding settles trivial queries without a solve.
-  Term Conj = nullptr;
-  if (Permanent.empty()) {
-    std::vector<Term> Premises;
-    Premises.reserve(Key.size());
-    for (uint32_t H : Key)
-      Premises.push_back(HandleTerms[H]);
-    Conj = QE.TM.mkAnd(std::move(Premises));
-    if (Conj == QE.TM.mkFalse()) {
-      ++QE.CacheHits;
-      Memo.emplace(std::move(Key), SolverResult::Unsat);
-      return SolverResult::Unsat;
-    }
-    if (Conj == QE.TM.mkTrue() && !ModelOut) {
+  // The premise set IS the query, so the engine-wide SatCache applies under
+  // the canonical conjunction key: another session — or the fresh path —
+  // may have answered it already, and mkAnd's folding settles trivial
+  // queries without a solve.
+  std::vector<Term> Premises;
+  Premises.reserve(Key.size());
+  for (uint32_t H : Key)
+    Premises.push_back(HandleTerms[H]);
+  Term Conj = QE.TM.mkAnd(std::move(Premises));
+  if (Conj == QE.TM.mkFalse()) {
+    ++QE.CacheHits;
+    Memo.emplace(std::move(Key), SolverResult::Unsat);
+    return SolverResult::Unsat;
+  }
+  if (!ModelOut) {
+    if (Conj == QE.TM.mkTrue()) {
       ++QE.CacheHits;
       Memo.emplace(std::move(Key), SolverResult::Sat);
       return SolverResult::Sat;
     }
-    if (!ModelOut) {
-      auto It = QE.SatCache.find(Conj);
-      if (It != QE.SatCache.end()) {
-        ++QE.CacheHits;
-        Memo.emplace(std::move(Key), It->second);
-        return It->second;
-      }
+    auto It = QE.SatCache.find(Conj);
+    if (It != QE.SatCache.end()) {
+      ++QE.CacheHits;
+      Memo.emplace(std::move(Key), It->second);
+      return It->second;
+    }
+    if (modelAnswers(Conj)) {
+      remember(std::move(Key), Conj, SolverResult::Sat);
+      return SolverResult::Sat;
     }
   }
 
@@ -547,8 +562,7 @@ SolverResult Session::checkUnder(const std::vector<Handle> &Assumed,
   uint64_t W0 = Sv.numWarmPivots();
   uint64_t WS0 = Sv.numWarmStarts();
   SolverResult Result = Sv.checkUnder(Lits);
-  QE.noteSessionSolve(static_cast<uint64_t>(Clock.seconds() * 1e6),
-                      Sv.numTheoryRoundsTotal() - R0,
+  QE.noteSessionSolve(Clock, Sv.numTheoryRoundsTotal() - R0,
                       Sv.numClausesRetained() - C0, Sv.numWarmPivots() - W0,
                       Sv.numWarmStarts() - WS0);
   SeenRounds = Sv.numTheoryRoundsTotal();
@@ -556,17 +570,22 @@ SolverResult Session::checkUnder(const std::vector<Handle> &Assumed,
   SeenWarm = Sv.numWarmPivots();
   SeenWarmStarts = Sv.numWarmStarts();
 
-  if (Result == SolverResult::Sat && ModelOut)
-    *ModelOut = Sv.model();
+  if (Result == SolverResult::Sat) {
+    ++QE.SatSolves;
+    if (ModelOut)
+      *ModelOut = Sv.model();
+    if (Models.size() < kModelRing) {
+      Models.push_back(Sv.model());
+    } else {
+      Models[NextModel] = Sv.model();
+      NextModel = (NextModel + 1) % kModelRing;
+    }
+  }
   // Non-cancelled verdicts are worth remembering — including Unknown, which
   // is deterministic budget exhaustion here (the Hoare gate re-poses every
   // unproven triple each refinement round, and re-exhausting the budget each
   // time is pure waste). A cancelled Unknown is nondeterministic and must
   // not be cached.
-  if (!QE.stopRequested()) {
-    if (Conj)
-      QE.SatCache.emplace(Conj, Result);
-    Memo.emplace(std::move(Key), Result);
-  }
+  remember(std::move(Key), Conj, Result);
   return Result;
 }

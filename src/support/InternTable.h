@@ -29,8 +29,6 @@
 #ifndef SEQVER_SUPPORT_INTERNTABLE_H
 #define SEQVER_SUPPORT_INTERNTABLE_H
 
-#include "support/Bitset.h"
-
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
@@ -98,17 +96,6 @@ public:
   static constexpr uint32_t NotFound = UINT32_MAX;
 
   InternTable() { rehash(InitialSlots); }
-
-  /// Pre-sizes arena and index for about `Count` distinct values.
-  void reserve(size_t Count) {
-    Values.reserve(Count);
-    Hashes.reserve(Count);
-    size_t Needed = InitialSlots;
-    while (Needed * MaxLoadNum < Count * MaxLoadDen)
-      Needed <<= 1;
-    if (Needed > Slots.size())
-      rehash(Needed);
-  }
 
   /// Interns Value: returns the existing id or assigns the next dense one.
   /// Inserted (when non-null) reports whether a new id was allocated.
@@ -286,24 +273,6 @@ public:
     if ((Hashes.size() + 1) * MaxLoadDen > Slots.size() * MaxLoadNum)
       rehash(Slots.size() * 2);
     return Id;
-  }
-
-  /// Bitset round trip; used only by tests (intern_test.cpp).
-  SleepSetId intern(const Bitset &Set) {
-    assert(Set.capacity() == Letters && "alphabet mismatch");
-    scratchClear();
-    Set.forEach([this](size_t Letter) {
-      scratchSet(static_cast<uint32_t>(Letter));
-    });
-    return internScratch();
-  }
-  Bitset toBitset(SleepSetId Id) const {
-    Bitset Out(Letters);
-    const uint64_t *W = wordsOf(Id);
-    for (uint32_t L = 0; L < Letters; ++L)
-      if ((W[L / 64] >> (L % 64)) & 1)
-        Out.set(L);
-    return Out;
   }
 
   /// Number of distinct sets interned so far (the "peak" by monotonicity).

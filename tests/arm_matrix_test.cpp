@@ -84,7 +84,8 @@ TEST(IncrementalDifferential, AffineSuite) {
 }
 
 /// Sessions on vs off on the full static stack over all of tier 1: the
-/// sessions spend at most 70% of the fresh arm's solver time.
+/// sessions spend at most 70% of the fresh arm's solver time, and their
+/// stored countermodels leave at most half of its Sat solves.
 TEST(IncrementalDifferential, SessionsSaveSolverTime) {
   EXPECT_EQ(runSlice("incremental",
                      {"svcomp", "weaver", "loop_heavy", "affine"},

@@ -533,4 +533,72 @@ TEST_F(SolverTest, SessionInterleavedPushPopStress) {
   }
 }
 
+/// Random small LIA premise sets posed to one session, each checked against
+/// a fresh solve on a separate engine (no shared verdict cache): answers
+/// from stored countermodels must agree with the solver, and some must
+/// occur.
+class SessionModelCache : public ::testing::TestWithParam<int> {};
+
+TEST_P(SessionModelCache, AgreesWithFreshSolves) {
+  TermManager TM;
+  Rng R(static_cast<uint64_t>(GetParam()) * 104729 + 7);
+  std::vector<Term> Vars = {TM.mkVar("a", Sort::Int), TM.mkVar("b", Sort::Int),
+                            TM.mkVar("c", Sort::Int)};
+  auto RandomSum = [&]() {
+    LinSum Sum = TM.sumOfConst(R.range(-3, 3));
+    for (Term Var : Vars)
+      if (R.flip())
+        Sum = TermManager::sumAdd(
+            Sum, TermManager::sumScale(TM.sumOfVar(Var), R.range(-2, 2)));
+    return Sum;
+  };
+  std::vector<Term> Pool;
+  while (Pool.size() < 12) {
+    Term Atom;
+    switch (R.below(4)) {
+    case 0:
+      Atom = TM.mkEq(RandomSum(), TM.sumOfConst(0));
+      break;
+    case 1:
+      Atom = TM.mkNot(TM.mkEq(RandomSum(), TM.sumOfConst(0)));
+      break;
+    default:
+      Atom = TM.mkLeZero(RandomSum());
+      break;
+    }
+    if (Atom != TM.mkTrue() && Atom != TM.mkFalse())
+      Pool.push_back(Atom);
+  }
+
+  QueryEngine QE(TM);
+  QueryEngine Reference(TM);
+  auto Sess = QE.openSession();
+  // A box keeps every query decidable within the theory budget.
+  std::vector<Term> Box;
+  for (Term Var : Vars) {
+    Box.push_back(TM.mkLe(TM.sumOfConst(-4), TM.sumOfVar(Var)));
+    Box.push_back(TM.mkLe(TM.sumOfVar(Var), TM.sumOfConst(4)));
+  }
+  Session::Handle BoxH = Sess->prepare(TM.mkAnd(Box));
+  for (int Query = 0; Query < 150; ++Query) {
+    std::vector<Session::Handle> Assumed = {BoxH};
+    std::vector<Term> Premises = Box;
+    for (size_t Count = 1 + R.below(4); Count > 0; --Count) {
+      Term F = Pool[R.below(Pool.size())];
+      Assumed.push_back(Sess->prepare(F));
+      Premises.push_back(F);
+    }
+    SolverResult Expected = Reference.checkSat(TM.mkAnd(Premises));
+    ASSERT_NE(Expected, SolverResult::Unknown);
+    EXPECT_EQ(Sess->checkUnder(Assumed), Expected) << "query " << Query;
+  }
+  EXPECT_GT(QE.numModelHits(), 0u);
+  EXPECT_LE(QE.numModelHits(), QE.numModelTries());
+  // Every query that reached the stored models was answered by one or
+  // solved.
+  EXPECT_EQ(QE.numModelTries(), QE.numModelHits() + QE.numAssumptionSolves());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SessionModelCache, ::testing::Range(0, 20));
+
 } // namespace

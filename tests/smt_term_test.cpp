@@ -151,6 +151,31 @@ TEST_F(TermTest, EvaluatorAgreesWithSemantics) {
   EXPECT_TRUE(evalFormula(TM.mkIff(P, TM.mkLe(sx(), c(3))), Values));
 }
 
+TEST_F(TermTest, SatisfiesTreatsOverflowAsUnsatisfied) {
+  const int64_t Max = INT64_MAX;
+  // Max*x + (Max-1)*y <= 0: consecutive coefficients, so no gcd folding.
+  LinSum Big = TermManager::sumAdd(TermManager::sumScale(sx(), Max),
+                                   TermManager::sumScale(sy(), Max - 1));
+  Term Le = TM.mkLeZero(Big);
+  ASSERT_EQ(Le->kind(), TermKind::AtomLe);
+  Assignment Values;
+  Values.IntValues[X] = 1;
+  Values.IntValues[Y] = 0;
+  // Max + 0 is exact: the atom is false and its negation true.
+  EXPECT_FALSE(satisfies(Values, Le));
+  EXPECT_TRUE(satisfies(Values, TM.mkNot(Le)));
+  // Max + (Max-1) = 2^64 - 3 wraps to -3, which would make the atom hold.
+  Values.IntValues[Y] = 1;
+  EXPECT_TRUE(evalFormula(Le, Values));
+  EXPECT_FALSE(satisfies(Values, Le));
+  EXPECT_FALSE(satisfies(Values, TM.mkNot(Le)));
+  // The product Max * 2 overflows before any addition.
+  Values.IntValues[X] = 2;
+  Values.IntValues[Y] = 0;
+  EXPECT_FALSE(satisfies(Values, Le));
+  EXPECT_FALSE(satisfies(Values, TM.mkNot(Le)));
+}
+
 TEST_F(TermTest, DefaultAssignmentValues) {
   Assignment Values;
   EXPECT_EQ(Values.intValue(X), 0);

@@ -20,6 +20,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 using namespace seqver;
 using namespace seqver::core;
 using seqver::automata::Letter;
@@ -281,6 +283,21 @@ TEST_F(VerifierTest, PortfolioAggregatesBestOrder) {
   ASSERT_NE(First, R.Entries.end());
   EXPECT_EQ(R.BestOrder, First->OrderName);
   EXPECT_EQ(R.Best.Seconds, First->Result.Seconds);
+}
+
+TEST_F(VerifierTest, SingleOrderRejectsUnknownOrderName) {
+  auto P = build(workloads::bluetoothSource(1));
+  VerifierConfig Cfg = fastConfig();
+  // Seed base 5 builds rand(6), rand(7) and rand(8), not rand(1).
+  Cfg.RandSeedBase = 5;
+  try {
+    runSingleOrder(*P, Cfg, "rand(1)");
+    FAIL() << "an unknown order name must throw";
+  } catch (const std::invalid_argument &E) {
+    EXPECT_NE(std::string(E.what()).find("'rand(1)'"), std::string::npos)
+        << E.what();
+  }
+  EXPECT_EQ(runSingleOrder(*P, Cfg, "rand(6)").V, Verdict::Correct);
 }
 
 TEST_F(VerifierTest, BluetoothConstantRoundsWithReduction) {

@@ -617,8 +617,16 @@ Axis incrementalAxis(const core::VerifierConfig &Base,
   // Sessions save at least 30% of the solver time over all of tier 1.
   A.Relations.push_back(compare(Total, {"full/inc", "smt_solver_us"}, LessEq,
                                 {"full/fresh", "smt_solver_us"}, Tier1, 70));
+  // Stored countermodels answer at least half of the Sat queries: the fresh
+  // path poses the same query stream and solves every one of them.
+  A.Relations.push_back(compare(Total, {"full/inc", "smt_sat_solves"}, LessEq,
+                                {"full/fresh", "smt_sat_solves"}, Tier1, 50));
   A.Report = {{"full/inc", "smt_solver_us"},
               {"full/fresh", "smt_solver_us"},
+              {"full/inc", "smt_sat_solves"},
+              {"full/fresh", "smt_sat_solves"},
+              {"full/inc", "smt_model_hits"},
+              {"full/inc", "smt_model_tries"},
               {"full/inc", "smt_sessions"},
               {"full/inc", "smt_assumption_solves"},
               {"full/inc", "smt_theory_rounds"},
