@@ -3,11 +3,12 @@
 /// Measures the state-index hot path (docs/PERF.md): the generic sleep-set
 /// construction and the program-reduction construction are timed on their
 /// hashed InternTable index, and the verifier's DFS is profiled over the
-/// tier-1 suites under the "seq" order (median of three passes).
+/// tier-1 suites under the "seq" order (median of three passes, in wall and
+/// in CPU time).
 ///
 /// Writes a flat BENCH_hotpath.json (path in argv[1], default
 /// BENCH_hotpath.json in the working directory) that tools/check_perf.sh
-/// diffs against the checked-in baseline at the repo root; a wall-time
+/// diffs against the checked-in baseline at the repo root; a CPU-time
 /// regression beyond the tolerance fails the gate.
 ///
 //===----------------------------------------------------------------------===//
@@ -19,6 +20,8 @@
 #include "smt/Solver.h"
 #include "support/StringUtils.h"
 #include "support/Timer.h"
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -173,20 +176,36 @@ int main(int argc, char **argv) {
   // Part 3: full verifier DFS over the tier-1 suites ("seq" order: a single
   // deterministic configuration, so wall time is comparable run-to-run).
   // One pass varies by more than check_perf.sh's tolerance, so the suite
-  // runs SuitePasses times and the median pass is reported.
+  // runs SuitePasses times and the median pass is reported. The gated
+  // figure is the process's CPU time (user + sys) per pass, which leaves
+  // out time spent waiting for a core (docs/PERF.md §5 on what noise
+  // remains).
   constexpr size_t SuitePasses = 3;
   auto Suite = workloads::svcompLikeSuite();
   for (const auto &Inst : workloads::weaverLikeSuite())
     Suite.push_back(Inst);
+  auto CpuSeconds = [] {
+    rusage U;
+    getrusage(RUSAGE_SELF, &U);
+    auto Seconds = [](const timeval &T) {
+      return static_cast<double>(T.tv_sec) + T.tv_usec / 1e6;
+    };
+    return Seconds(U.ru_utime) + Seconds(U.ru_stime);
+  };
   std::vector<std::pair<double, std::vector<RunRecord>>> Passes;
+  std::vector<double> PassCpu;
   for (size_t Pass = 0; Pass < SuitePasses; ++Pass) {
     Timer SuiteTimer;
+    double Cpu0 = CpuSeconds();
     auto Records = runSuite(Suite, "seq");
+    PassCpu.push_back(CpuSeconds() - Cpu0);
     Passes.emplace_back(SuiteTimer.seconds(), std::move(Records));
   }
   std::sort(Passes.begin(), Passes.end(),
             [](const auto &X, const auto &Y) { return X.first < Y.first; });
+  std::sort(PassCpu.begin(), PassCpu.end());
   const auto &[SuiteWall, Records] = Passes[SuitePasses / 2];
+  double SuiteCpu = PassCpu[SuitePasses / 2];
   SuiteAggregate A = aggregate(Records);
   double WallPerRound =
       A.TotalRounds > 0 ? A.TotalSeconds / static_cast<double>(A.TotalRounds)
@@ -197,9 +216,11 @@ int main(int argc, char **argv) {
           : 0;
   std::printf("-- verifier DFS, tier-1 suites, seq order --\n");
   std::printf("instances=%zu successful=%d wall=%.2fs (median of %zu, "
-              "range %.2f-%.2fs) verify=%.2fs rounds=%lld\n",
+              "range %.2f-%.2fs) cpu=%.2fs (range %.2f-%.2fs) verify=%.2fs "
+              "rounds=%lld\n",
               Suite.size(), A.Successful, SuiteWall, SuitePasses,
-              Passes.front().first, Passes.back().first, A.TotalSeconds,
+              Passes.front().first, Passes.back().first, SuiteCpu,
+              PassCpu.front(), PassCpu.back(), A.TotalSeconds,
               static_cast<long long>(A.TotalRounds));
   std::printf("wall_s_per_round=%.4f dfs_states_per_sec=%.0f\n", WallPerRound,
               DfsStatesPerSec);
@@ -226,6 +247,7 @@ int main(int argc, char **argv) {
   J.field("suite_instances", static_cast<int64_t>(Suite.size()));
   J.field("suite_successful", static_cast<int64_t>(A.Successful));
   J.field("suite_wall_s", SuiteWall);
+  J.field("suite_cpu_s", SuiteCpu);
   J.field("suite_verify_s", A.TotalSeconds);
   J.field("suite_rounds", A.TotalRounds);
   J.field("wall_s_per_round", WallPerRound);

@@ -19,13 +19,12 @@ ProgramAnalysis::ProgramAnalysis(const prog::ConcurrentProgram &P) : P(P) {
   Intervals = std::make_unique<IntervalAnalysis>(P);
   Octagons = std::make_unique<OctagonAnalysis>(P);
   Karr = std::make_unique<KarrAnalysis>(P);
-  Congruences = std::make_unique<CongruenceAnalysis>(P);
   Racy = std::make_unique<RaceDetector>(P, *Locks, Intervals.get());
 }
 
 std::vector<const InvariantSource *>
 ProgramAnalysis::invariantSources() const {
-  return {Intervals.get(), Octagons.get(), Karr.get(), Congruences.get()};
+  return {Intervals.get(), Octagons.get(), Karr.get()};
 }
 
 std::string ProgramAnalysis::report() const {
@@ -71,17 +70,7 @@ std::string ProgramAnalysis::report() const {
     if (!Contains(Dead, E) && !Contains(ODead, E))
       Out << " +" << P.action(E.EdgeLetter).Name;
   Out << "\n";
-  Out << "karr affine locations: " << Karr->numAffineLocations() << "\n";
-
-  // Congruence pass: divisibility facts beyond every exact-value domain.
-  const auto &CDead = Congruences->deadEdges();
-  Out << "congruence dead edges (" << CDead.size() << "):";
-  for (const DeadEdge &E : CDead)
-    if (!Contains(Dead, E) && !Contains(ODead, E) && !Contains(KDead, E))
-      Out << " +" << P.action(E.EdgeLetter).Name;
-  Out << "\n";
-  Out << "congruent locations: " << Congruences->numCongruentLocations()
-      << "\n\n";
+  Out << "karr affine locations: " << Karr->numAffineLocations() << "\n\n";
 
   const auto &Races = Racy->races();
   Out << "races (" << Races.size() << "):\n";
@@ -161,7 +150,6 @@ uint32_t seqver::analysis::pruneDeadEdges(prog::ConcurrentProgram &P,
   IntervalAnalysis Intervals(P);
   std::optional<OctagonAnalysis> Octagons;
   std::optional<KarrAnalysis> Karr;
-  std::optional<CongruenceAnalysis> Congruences;
   std::vector<const InvariantSource *> Sources{&Intervals};
   if (Preset != PrunePreset::IntervalOnly) {
     Octagons.emplace(P);
@@ -170,8 +158,6 @@ uint32_t seqver::analysis::pruneDeadEdges(prog::ConcurrentProgram &P,
   if (Preset == PrunePreset::Full) {
     Karr.emplace(P);
     Sources.push_back(&*Karr);
-    Congruences.emplace(P);
-    Sources.push_back(&*Congruences);
   }
   return pruneDeadEdges(P, Sources, Stats);
 }

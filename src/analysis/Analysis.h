@@ -13,7 +13,6 @@
 #ifndef SEQVER_ANALYSIS_ANALYSIS_H
 #define SEQVER_ANALYSIS_ANALYSIS_H
 
-#include "analysis/CongruenceProp.h"
 #include "analysis/IntervalProp.h"
 #include "analysis/KarrProp.h"
 #include "analysis/LockSet.h"
@@ -40,11 +39,10 @@ public:
   const IntervalAnalysis &intervals() const { return *Intervals; }
   const OctagonAnalysis &octagons() const { return *Octagons; }
   const KarrAnalysis &karr() const { return *Karr; }
-  const CongruenceAnalysis &congruences() const { return *Congruences; }
   const RaceDetector &races() const { return *Racy; }
 
   /// The registered invariant sources in tier order — interval, octagon,
-  /// karr, congruence — the order consumers try them in (cheapest first)
+  /// karr — the order consumers try them in (cheapest first)
   /// and the order pruning attributes removed edges in.
   std::vector<const InvariantSource *> invariantSources() const;
 
@@ -58,7 +56,6 @@ private:
   std::unique_ptr<IntervalAnalysis> Intervals;
   std::unique_ptr<OctagonAnalysis> Octagons;
   std::unique_ptr<KarrAnalysis> Karr;
-  std::unique_ptr<CongruenceAnalysis> Congruences;
   std::unique_ptr<RaceDetector> Racy;
 };
 

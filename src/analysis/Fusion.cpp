@@ -189,9 +189,7 @@ FusionStats seqver::analysis::fuseTransactions(prog::ConcurrentProgram &P) {
   IntervalAnalysis Intervals(P);
   OctagonAnalysis Octagons(P);
   KarrAnalysis Karr(P);
-  CongruenceAnalysis Congruences(P);
-  std::vector<const InvariantSource *> Sources{&Intervals, &Octagons, &Karr,
-                                               &Congruences};
+  std::vector<const InvariantSource *> Sources{&Intervals, &Octagons, &Karr};
   MoverAnalysis Movers(P, Locks, Accesses, Sources);
   return fuseTransactions(P, Movers);
 }

@@ -59,7 +59,7 @@ MoverClass moverMeet(MoverClass A, MoverClass B);
 struct MoverInfo {
   MoverClass Class = MoverClass::Both;
   /// Name of the invariant source a conditional justification relied on
-  /// ("interval", "octagon", "karr", "congruence"); empty when the class
+  /// ("interval", "octagon", "karr"); empty when the class
   /// needed no invariant reasoning. When several pairs needed different
   /// sources, the most expensive one is kept.
   std::string Source;

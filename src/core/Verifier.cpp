@@ -828,8 +828,6 @@ VerificationResult Verifier::Impl::run() {
   Stats.add("smt_theory_rounds", static_cast<int64_t>(QE.numTheoryRounds()));
   Stats.add("smt_tableau_warm_pivots",
             static_cast<int64_t>(QE.numWarmPivots()));
-  Stats.add("smt_tableau_warm_starts",
-            static_cast<int64_t>(QE.numWarmStarts()));
   Stats.add("smt_solver_us", static_cast<int64_t>(QE.solverMicros()));
   Stats.add("semantic_commut_checks",
             static_cast<int64_t>(Commut.numSemanticChecks()));

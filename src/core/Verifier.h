@@ -115,7 +115,7 @@ struct VerifierConfig {
   red::CommutOracle *SharedCommut = nullptr;
   /// Incremental SMT (docs/PERF.md §7): commutativity and Hoare queries run
   /// through per-pair / per-letter smt::Sessions, so the encoding, learned
-  /// clauses, and warm simplex tableau persist across the query stream
+  /// clauses and theory lemmas persist across the query stream
   /// instead of being rebuilt per query. Verdict-neutral by construction
   /// (assumption-based activation never changes satisfiability, and the
   /// consumers replicate the fresh path's fast paths); the `incremental`

@@ -91,7 +91,7 @@ public:
   /// the pair's first semantic query. The obligations are encoded once as
   /// assumable premises; each context phi is just another assumption, so
   /// every re-query of the pair under a new context reuses the encoding,
-  /// learned clauses, and warm tableau. Off by default (the fresh-instance
+  /// learned clauses and theory lemmas. Off by default (the fresh-instance
   /// path through QueryEngine::isUnsat); verdicts are identical either way.
   void setIncremental(bool On) { Incremental = On; }
 

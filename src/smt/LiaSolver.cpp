@@ -2,8 +2,6 @@
 
 #include "smt/LiaSolver.h"
 
-#include "support/InternTable.h"
-
 #include <algorithm>
 #include <cassert>
 #include <map>
@@ -33,47 +31,6 @@ std::vector<Term> collectVars(const std::vector<LiaAtom> &Atoms,
   return Vars;
 }
 
-uint64_t hashSum(uint64_t H, const LinSum &Sum) {
-  for (const auto &[Var, Coeff] : Sum.Terms) {
-    H = hashCombine(H, Var->id());
-    H = hashCombine(H, static_cast<uint64_t>(Coeff));
-  }
-  return hashCombine(H, static_cast<uint64_t>(Sum.Constant));
-}
-
-/// Hash of the exact theory problem; collisions are harmless because the
-/// warm-cache probe also compares the stored vectors for equality.
-uint64_t hashProblem(const std::vector<LiaAtom> &Atoms,
-                     const std::vector<LinSum> &Diseqs) {
-  uint64_t H = hashMix(Atoms.size() * 2654435761ULL + Diseqs.size());
-  for (const LiaAtom &Atom : Atoms)
-    H = hashCombine(hashSum(H, Atom.Sum), Atom.IsEq ? 3 : 5);
-  for (const LinSum &Sum : Diseqs)
-    H = hashSum(H, Sum);
-  return H;
-}
-
-bool sameSum(const LinSum &A, const LinSum &B) {
-  return A.Constant == B.Constant && A.Terms == B.Terms;
-}
-
-bool sameProblem(const std::vector<LiaAtom> &Atoms,
-                 const std::vector<LinSum> &Diseqs,
-                 const std::vector<LiaAtom> &CachedAtoms,
-                 const std::vector<LinSum> &CachedDiseqs) {
-  if (Atoms.size() != CachedAtoms.size() ||
-      Diseqs.size() != CachedDiseqs.size())
-    return false;
-  for (size_t I = 0; I < Atoms.size(); ++I)
-    if (Atoms[I].IsEq != CachedAtoms[I].IsEq ||
-        !sameSum(Atoms[I].Sum, CachedAtoms[I].Sum))
-      return false;
-  for (size_t I = 0; I < Diseqs.size(); ++I)
-    if (!sameSum(Diseqs[I], CachedDiseqs[I]))
-      return false;
-  return true;
-}
-
 /// Builds the root tableau: one column per variable, one slack row per
 /// atom, bounds carrying the atoms' constants.
 void buildRoot(Simplex &Splx, const std::vector<LiaAtom> &Atoms,
@@ -101,57 +58,76 @@ void buildRoot(Simplex &Splx, const std::vector<LiaAtom> &Atoms,
 
 } // namespace
 
-LiaResult LiaSolver::solveRec(const Simplex &Solved,
-                              const std::vector<Term> &Vars,
-                              std::vector<Rational> &ModelOut,
-                              uint64_t &NodeBudget) {
-  // Solved is rationally feasible; find a fractional variable to branch on.
-  size_t Fractional = Vars.size();
-  for (size_t I = 0; I < Vars.size(); ++I) {
-    if (!Solved.value(static_cast<int>(I)).isIntegral()) {
-      Fractional = I;
-      break;
-    }
-  }
-  if (Fractional == Vars.size()) {
-    ModelOut.resize(Vars.size());
-    for (size_t I = 0; I < Vars.size(); ++I)
-      ModelOut[I] = Solved.value(static_cast<int>(I));
-    return LiaResult::Sat;
-  }
-  Rational Value = Solved.value(static_cast<int>(Fractional));
+LiaResult LiaSolver::branchAndBound(Simplex Root, size_t NumVars,
+                                    std::vector<Rational> &ModelOut,
+                                    uint64_t &NodeBudget) {
+  // Depth-first search, left branch (x <= floor) first. A node whose left
+  // child is feasible waits on Pending until that subtree comes back Unsat,
+  // then takes its right branch (x >= ceil); the right child replaces its
+  // parent, as nothing is left to try at the parent after it. Each child
+  // copies the solved parent and tightens one bound, so its check()
+  // re-pivots from the parent's basis instead of rebuilding the tableau.
+  struct Node {
+    Simplex Solved; ///< rationally feasible
+    int Fractional; ///< the column branched on
+  };
+  std::vector<Node> Pending;
+  Simplex Current = std::move(Root);
+  auto FirstFractional = [NumVars](const Simplex &Solved) {
+    for (size_t I = 0; I < NumVars; ++I)
+      if (!Solved.value(static_cast<int>(I)).isIntegral())
+        return static_cast<int>(I);
+    return -1;
+  };
+  // Copies Parent with one bound tightened and solves it; true iff feasible.
+  auto SolveChild = [this](const Simplex &Parent, int Col, bool Left,
+                           Simplex &Child) {
+    Child = Parent;
+    const Rational &Value = Parent.value(Col);
+    if (Left)
+      Child.setUpper(Col, Rational(Value.floor()));
+    else
+      Child.setLower(Col, Rational(Value.ceil()));
+    uint64_t Before = Child.numPivots();
+    bool Sat = Child.check() == Simplex::Result::Sat;
+    WarmPivots += Child.numPivots() - Before;
+    return Sat;
+  };
 
-  // Each branch copies the solved parent and tightens one bound, so the
-  // child's check() re-pivots from the parent's basis instead of rebuilding
-  // the tableau from scratch.
-  // Left branch: x <= floor(value).
-  {
+  Simplex Child;
+  for (;;) {
+    int Col = FirstFractional(Current);
+    if (Col < 0) {
+      ModelOut.resize(NumVars);
+      for (size_t I = 0; I < NumVars; ++I)
+        ModelOut[I] = Current.value(static_cast<int>(I));
+      return LiaResult::Sat;
+    }
     if (NodeBudget == 0)
       return LiaResult::Unknown;
     --NodeBudget;
-    Simplex Child = Solved;
-    Child.setUpper(static_cast<int>(Fractional), Rational(Value.floor()));
-    uint64_t Before = Child.numPivots();
-    bool ChildSat = Child.check() == Simplex::Result::Sat;
-    WarmPivots += Child.numPivots() - Before;
-    if (ChildSat) {
-      LiaResult Left = solveRec(Child, Vars, ModelOut, NodeBudget);
-      if (Left == LiaResult::Sat || Left == LiaResult::Unknown)
-        return Left;
+    if (SolveChild(Current, Col, /*Left=*/true, Child)) {
+      Pending.push_back({std::move(Current), Col});
+      Current = std::move(Child);
+      continue;
+    }
+    // The left subtree is Unsat: take the right branch, unwinding through
+    // ancestors whose right branch is Unsat too.
+    for (;;) {
+      if (NodeBudget == 0)
+        return LiaResult::Unknown;
+      --NodeBudget;
+      if (SolveChild(Current, Col, /*Left=*/false, Child)) {
+        Current = std::move(Child);
+        break;
+      }
+      if (Pending.empty())
+        return LiaResult::Unsat;
+      Current = std::move(Pending.back().Solved);
+      Col = Pending.back().Fractional;
+      Pending.pop_back();
     }
   }
-  // Right branch: x >= ceil(value).
-  if (NodeBudget == 0)
-    return LiaResult::Unknown;
-  --NodeBudget;
-  Simplex Child = Solved;
-  Child.setLower(static_cast<int>(Fractional), Rational(Value.ceil()));
-  uint64_t Before = Child.numPivots();
-  bool ChildSat = Child.check() == Simplex::Result::Sat;
-  WarmPivots += Child.numPivots() - Before;
-  if (!ChildSat)
-    return LiaResult::Unsat;
-  return solveRec(Child, Vars, ModelOut, NodeBudget);
 }
 
 LiaResult LiaSolver::check(const std::vector<LiaAtom> &Atoms,
@@ -163,35 +139,14 @@ LiaResult LiaSolver::check(const std::vector<LiaAtom> &Atoms,
     return LiaResult::Unknown;
   --Budget; // the root check is the first node
 
-  uint64_t Key = CacheEnabled ? hashProblem(Atoms, Diseqs) : 0;
   Simplex Root;
-  bool Warm = CacheEnabled && WarmValid && Key == WarmKey &&
-              sameProblem(Atoms, Diseqs, WarmAtoms, WarmDiseqs);
-  if (Warm) {
-    Root = WarmRoot;
-    ++WarmStarts;
-  } else {
-    buildRoot(Root, Atoms, Vars);
-  }
-  uint64_t Before = Root.numPivots();
-  bool RootSat = Root.check() == Simplex::Result::Sat;
-  if (Warm)
-    WarmPivots += Root.numPivots() - Before;
-  if (!RootSat)
+  buildRoot(Root, Atoms, Vars);
+  if (Root.check() != Simplex::Result::Sat)
     return LiaResult::Unsat;
-  if (CacheEnabled) {
-    // Cache the solved root for the next identical problem (session query
-    // streams re-derive the same theory conjunction across rounds).
-    WarmValid = true;
-    WarmKey = Key;
-    WarmAtoms = Atoms;
-    WarmDiseqs = Diseqs;
-    WarmVars = Vars;
-    WarmRoot = Root;
-  }
 
   std::vector<Rational> Values;
-  LiaResult Result = solveRec(Root, Vars, Values, Budget);
+  LiaResult Result =
+      branchAndBound(std::move(Root), Vars.size(), Values, Budget);
   if (Result != LiaResult::Sat)
     return Result;
 
@@ -219,9 +174,9 @@ std::vector<size_t> LiaSolver::unsatCore(const std::vector<LiaAtom> &Atoms) {
   for (size_t I = 0; I < Atoms.size(); ++I)
     Kept[I] = I;
 
-  // Deletion filter on a scratch solver (the subset probes would otherwise
-  // thrash this instance's warm root cache): drop an atom if the rest stays
-  // Unsat. Unknown results conservatively keep the atom (the core stays an
+  // Deletion filter on a scratch solver, so the pivot statistic counts only
+  // the decision checks: drop an atom if the rest stays Unsat. Unknown
+  // results conservatively keep the atom (the core stays an
   // over-approximation, which is sound for blocking clauses).
   LiaSolver Scratch(MaxNodes);
   for (size_t I = 0; I < Kept.size();) {

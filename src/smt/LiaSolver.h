@@ -7,14 +7,12 @@
 /// node budget (atom-level gcd tightening happens earlier, at term
 /// construction, which keeps the search shallow on verification queries).
 ///
-/// The tableau is kept warm in two ways. Within one check(), branch-and-
-/// bound children copy the solved parent tableau and tighten one bound, so
-/// each node re-pivots from the parent's basis instead of rebuilding from
-/// scratch. Across check() calls, the instance optionally (enableRootCache)
-/// caches the last root tableau keyed by the exact (atoms, disequalities)
-/// problem: a session-style query stream that re-derives the same theory
-/// conjunction re-pivots from the previous basis (usually zero pivots).
-/// Results never depend on the cache — only the pivot count does.
+/// Each check() builds its root tableau from the atoms. Branch-and-bound
+/// children copy the solved parent tableau and tighten one bound, so each
+/// node re-pivots from the parent's basis instead of rebuilding from
+/// scratch. The search keeps its pending nodes on a heap-allocated stack,
+/// not the call stack, so a dive to the node budget needs no deep
+/// recursion.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,9 +43,8 @@ enum class LiaResult {
   Unknown, ///< branch-and-bound budget exhausted
 };
 
-/// Decision procedure for conjunctions. Stateless as far as answers go; the
-/// warm-tableau cache is the only cross-call state and is purely a
-/// performance device.
+/// Decision procedure for conjunctions. Stateless apart from the pivot
+/// statistic.
 class LiaSolver {
 public:
   /// MaxNodes bounds the branch-and-bound tree per check.
@@ -65,37 +62,17 @@ public:
   /// the conjunction Unsat are dropped.
   std::vector<size_t> unsatCore(const std::vector<LiaAtom> &Atoms);
 
-  /// Turns on the cross-check root cache. Off by default because storing
-  /// it copies the problem and the solved tableau — worth it only for
-  /// long-lived solvers (incremental sessions) whose query streams repeat
-  /// theory conjunctions; throwaway instances would pay per check and never
-  /// collect.
-  void enableRootCache() { CacheEnabled = true; }
-
-  /// Theory checks answered by re-pivoting the cached root tableau of a
-  /// previous identical problem instead of building cold (statistic).
-  uint64_t numWarmStarts() const { return WarmStarts; }
-  /// Pivots performed on warm-started tableaux — root reuses plus every
-  /// branch-and-bound child pivoting on a copied parent basis (statistic).
+  /// Pivots performed by branch-and-bound children on a copied parent
+  /// basis (statistic).
   uint64_t numWarmPivots() const { return WarmPivots; }
 
 private:
-  LiaResult solveRec(const Simplex &Parent, const std::vector<Term> &Vars,
-                     std::vector<Rational> &ModelOut, uint64_t &NodeBudget);
+  LiaResult branchAndBound(Simplex Root, size_t NumVars,
+                           std::vector<Rational> &ModelOut,
+                           uint64_t &NodeBudget);
 
   uint64_t MaxNodes;
-  uint64_t WarmStarts = 0;
   uint64_t WarmPivots = 0;
-  bool CacheEnabled = false;
-
-  /// One-entry root-tableau cache: the last check()'s solved root, keyed by
-  /// the exact problem (hash plus full equality check on the atom vectors).
-  bool WarmValid = false;
-  uint64_t WarmKey = 0;
-  std::vector<LiaAtom> WarmAtoms;
-  std::vector<LinSum> WarmDiseqs;
-  std::vector<Term> WarmVars;
-  Simplex WarmRoot;
 };
 
 } // namespace smt

@@ -159,23 +159,10 @@ Lit Solver::activationFor(Term Formula) {
   return Sel;
 }
 
-void Solver::pushContext(Term Formula) {
-  ContextStack.push_back(activationFor(Formula));
-}
-
-void Solver::pop() {
-  assert(!ContextStack.empty() && "pop without matching pushContext");
-  ContextStack.pop_back();
-}
-
-SolverResult Solver::checkUnder(const std::vector<Lit> &ExtraAssumptions) {
+SolverResult Solver::checkUnder(const std::vector<Lit> &Assumptions) {
   if (TriviallyUnsat)
     return SolverResult::Unsat;
   TheoryRounds = 0;
-
-  std::vector<Lit> Assumptions = ContextStack;
-  Assumptions.insert(Assumptions.end(), ExtraAssumptions.begin(),
-                     ExtraAssumptions.end());
 
   // Active-set restriction: the theory only needs the atoms of premises
   // active in THIS check (asserted, assumed, or introduced by lemmas).
@@ -379,30 +366,10 @@ SolverResult QueryEngine::checkSat(Term Formula) {
   TheoryRoundsTotal += S.numTheoryRoundsTotal();
   ClausesRetained += S.numClausesRetained();
   WarmPivots += S.numWarmPivots();
-  WarmStarts += S.numWarmStarts();
   // Unknowns from budget exhaustion are deterministic and cacheable; an
   // Unknown (or anything else) produced while cancellation fired is not.
   if (!stopRequested())
     SatCache.emplace(Formula, Result);
-  return Result;
-}
-
-SolverResult QueryEngine::checkSatModel(Term Formula, Assignment &ModelOut) {
-  ++Queries;
-  Timer Clock;
-  Solver S(TM);
-  for (const runtime::CancellationToken *Token : Watched)
-    S.watchCancellation(Token);
-  S.assertFormula(Formula);
-  SolverResult Result = S.check();
-  chargeSolver(Clock);
-  SatSolves += Result == SolverResult::Sat;
-  TheoryRoundsTotal += S.numTheoryRoundsTotal();
-  ClausesRetained += S.numClausesRetained();
-  WarmPivots += S.numWarmPivots();
-  WarmStarts += S.numWarmStarts();
-  if (Result == SolverResult::Sat)
-    ModelOut = S.model();
   return Result;
 }
 
@@ -436,10 +403,9 @@ Solver &Session::solver() {
   }
   if (!S) {
     S = std::make_unique<Solver>(QE.TM);
-    S->enableTheoryRootCache();
     for (const runtime::CancellationToken *Token : QE.Watched)
       S->watchCancellation(Token);
-    SeenRounds = SeenRetained = SeenWarm = SeenWarmStarts = 0;
+    SeenRounds = SeenRetained = SeenWarm = 0;
   }
   return *S;
 }
@@ -450,11 +416,9 @@ void Session::flushCounters() {
   QE.TheoryRoundsTotal += S->numTheoryRoundsTotal() - SeenRounds;
   QE.ClausesRetained += S->numClausesRetained() - SeenRetained;
   QE.WarmPivots += S->numWarmPivots() - SeenWarm;
-  QE.WarmStarts += S->numWarmStarts() - SeenWarmStarts;
   SeenRounds = S->numTheoryRoundsTotal();
   SeenRetained = S->numClausesRetained();
   SeenWarm = S->numWarmPivots();
-  SeenWarmStarts = S->numWarmStarts();
 }
 
 Session::Handle Session::prepare(Term Formula) {
@@ -465,13 +429,6 @@ Session::Handle Session::prepare(Term Formula) {
   HandleTerms.push_back(Formula);
   HandleOf.emplace(Formula, H);
   return H;
-}
-
-void Session::pushContext(Term Formula) { ContextTerms.push_back(Formula); }
-
-void Session::pop() {
-  assert(!ContextTerms.empty() && "pop without matching pushContext");
-  ContextTerms.pop_back();
 }
 
 bool Session::modelAnswers(Term Conj) {
@@ -496,24 +453,16 @@ void Session::remember(std::vector<uint32_t> Key, Term Conj,
   Memo.emplace(std::move(Key), Result);
 }
 
-SolverResult Session::checkUnder(const std::vector<Handle> &Assumed,
-                                 Assignment *ModelOut) {
-  // The memo key is the exact active premise set: context handles plus the
-  // explicit ones, deduplicated (activation is idempotent).
-  std::vector<uint32_t> Key;
-  Key.reserve(ContextTerms.size() + Assumed.size());
-  for (Term F : ContextTerms)
-    Key.push_back(prepare(F));
-  Key.insert(Key.end(), Assumed.begin(), Assumed.end());
+SolverResult Session::checkUnder(const std::vector<Handle> &Assumed) {
+  // The memo key is the exact premise set, deduplicated (activation is
+  // idempotent).
+  std::vector<uint32_t> Key(Assumed);
   std::sort(Key.begin(), Key.end());
   Key.erase(std::unique(Key.begin(), Key.end()), Key.end());
 
-  if (!ModelOut) {
-    auto It = Memo.find(Key);
-    if (It != Memo.end()) {
-      ++QE.CacheHits;
-      return It->second;
-    }
+  if (auto It = Memo.find(Key); It != Memo.end()) {
+    ++QE.CacheHits;
+    return It->second;
   }
 
   // The premise set IS the query, so the engine-wide SatCache applies under
@@ -530,22 +479,20 @@ SolverResult Session::checkUnder(const std::vector<Handle> &Assumed,
     Memo.emplace(std::move(Key), SolverResult::Unsat);
     return SolverResult::Unsat;
   }
-  if (!ModelOut) {
-    if (Conj == QE.TM.mkTrue()) {
-      ++QE.CacheHits;
-      Memo.emplace(std::move(Key), SolverResult::Sat);
-      return SolverResult::Sat;
-    }
-    auto It = QE.SatCache.find(Conj);
-    if (It != QE.SatCache.end()) {
-      ++QE.CacheHits;
-      Memo.emplace(std::move(Key), It->second);
-      return It->second;
-    }
-    if (modelAnswers(Conj)) {
-      remember(std::move(Key), Conj, SolverResult::Sat);
-      return SolverResult::Sat;
-    }
+  if (Conj == QE.TM.mkTrue()) {
+    ++QE.CacheHits;
+    Memo.emplace(std::move(Key), SolverResult::Sat);
+    return SolverResult::Sat;
+  }
+  auto It = QE.SatCache.find(Conj);
+  if (It != QE.SatCache.end()) {
+    ++QE.CacheHits;
+    Memo.emplace(std::move(Key), It->second);
+    return It->second;
+  }
+  if (modelAnswers(Conj)) {
+    remember(std::move(Key), Conj, SolverResult::Sat);
+    return SolverResult::Sat;
   }
 
   // Clock the whole query — activation encoding included — to mirror what
@@ -560,20 +507,15 @@ SolverResult Session::checkUnder(const std::vector<Handle> &Assumed,
   uint64_t R0 = Sv.numTheoryRoundsTotal();
   uint64_t C0 = Sv.numClausesRetained();
   uint64_t W0 = Sv.numWarmPivots();
-  uint64_t WS0 = Sv.numWarmStarts();
   SolverResult Result = Sv.checkUnder(Lits);
   QE.noteSessionSolve(Clock, Sv.numTheoryRoundsTotal() - R0,
-                      Sv.numClausesRetained() - C0, Sv.numWarmPivots() - W0,
-                      Sv.numWarmStarts() - WS0);
+                      Sv.numClausesRetained() - C0, Sv.numWarmPivots() - W0);
   SeenRounds = Sv.numTheoryRoundsTotal();
   SeenRetained = Sv.numClausesRetained();
   SeenWarm = Sv.numWarmPivots();
-  SeenWarmStarts = Sv.numWarmStarts();
 
   if (Result == SolverResult::Sat) {
     ++QE.SatSolves;
-    if (ModelOut)
-      *ModelOut = Sv.model();
     if (Models.size() < kModelRing) {
       Models.push_back(Sv.model());
     } else {

@@ -12,8 +12,6 @@
 /// activation literals — activationFor(F) allocates a selector s with the
 /// permanent clause (s -> enc(F)); assuming s enables F, dropping the
 /// assumption retracts it without erasing anything the solver learned.
-/// pushContext()/pop() maintain a stack of such selectors that checkUnder()
-/// assumes implicitly.
 ///
 /// The verification layer normally goes through smt::QueryEngine, which
 /// offers both the classic fresh-instance path (one throwaway Solver per
@@ -59,8 +57,8 @@ struct TermPairIdHash {
 };
 
 /// Decides the conjunction of the asserted formulas, plus whatever premises
-/// are active via the context stack / explicit assumptions. Reusable across
-/// checks; see the file comment for the incremental contract.
+/// are active via explicit assumptions. Reusable across checks; see the file
+/// comment for the incremental contract.
 class Solver {
 public:
   explicit Solver(TermManager &TM) : TM(TM) {}
@@ -72,14 +70,7 @@ public:
   /// permanent, so assuming the literal is equivalent to asserting F.
   Lit activationFor(Term Formula);
 
-  /// Pushes Formula as a retractable premise: subsequent checks treat it as
-  /// asserted until the matching pop(). Nothing is erased on pop — the
-  /// selector and encoding stay cached for re-push.
-  void pushContext(Term Formula);
-  void pop();
-  size_t contextDepth() const { return ContextStack.size(); }
-
-  /// Decides the permanent assertions plus the current context stack.
+  /// Decides the permanent assertions.
   SolverResult check() { return checkUnder({}); }
 
   /// Like check(), additionally assuming the given literals (normally
@@ -96,17 +87,11 @@ public:
   uint64_t numTheoryRoundsTotal() const { return TheoryRoundsTotal; }
   /// Learned clauses inherited across SAT solve calls (statistic).
   uint64_t numClausesRetained() const { return Sat.numClausesRetained(); }
-  /// Warm tableau pivots in the theory layer (statistic).
+  /// Branch-and-bound pivots from a copied parent basis in the theory
+  /// layer (statistic).
   uint64_t numWarmPivots() const { return Lia.numWarmPivots(); }
-  /// Warm-started theory root checks (statistic).
-  uint64_t numWarmStarts() const { return Lia.numWarmStarts(); }
   /// Size proxy used by sessions to decide on an epoch reset.
   uint32_t numVars() const { return Sat.numVars(); }
-
-  /// Enables the theory layer's cross-check root-tableau cache; called by
-  /// sessions (long-lived solvers), where repeated theory conjunctions make
-  /// the per-check bookkeeping pay for itself.
-  void enableTheoryRootCache() { Lia.enableRootCache(); }
 
   /// Registers a cancellation token; it is polled once per theory round and
   /// every few thousand SAT conflicts. A fired token makes the running
@@ -153,7 +138,6 @@ private:
   std::vector<uint32_t> ActiveList; // vars marked in the current check
   uint32_t ActiveGen = 0;
   uint32_t ActiveMarkLimit = 0; // vars at/after this index count as active
-  std::vector<Lit> ContextStack;
   std::vector<const runtime::CancellationToken *> Watched;
   bool TriviallyUnsat = false;
   Assignment Model;
@@ -194,9 +178,6 @@ public:
   /// True iff Formula is unsatisfiable. Unknown counts as "not proven".
   bool isUnsat(Term Formula) { return checkSat(Formula) == SolverResult::Unsat; }
 
-  /// Satisfiability with model output (not cached).
-  SolverResult checkSatModel(Term Formula, Assignment &ModelOut);
-
   /// Opens an incremental session: one persistent Solver shared by a stream
   /// of related queries. The session holds a reference to this engine (and
   /// its TermManager); it must not outlive it.
@@ -228,10 +209,9 @@ public:
   uint64_t numClausesRetained() const { return ClausesRetained; }
   /// Theory rounds across all solvers (statistic: smt_theory_rounds).
   uint64_t numTheoryRounds() const { return TheoryRoundsTotal; }
-  /// Warm tableau pivots (statistic: smt_tableau_warm_pivots).
+  /// Branch-and-bound pivots from a copied parent basis (statistic:
+  /// smt_tableau_warm_pivots).
   uint64_t numWarmPivots() const { return WarmPivots; }
-  /// Warm-started theory root checks (statistic: smt_tableau_warm_starts).
-  uint64_t numWarmStarts() const { return WarmStarts; }
   /// Wall-clock microseconds spent inside solver checks, both paths, and in
   /// sessions' countermodel checks; the incremental axis compares this
   /// figure across arms.
@@ -254,13 +234,12 @@ private:
   /// Called by sessions after each real solve to fold their costs into the
   /// engine-wide statistics.
   void noteSessionSolve(const Timer &Clock, uint64_t Rounds, uint64_t Retained,
-                        uint64_t Warm, uint64_t Starts) {
+                        uint64_t Warm) {
     ++AssumptionSolves;
     chargeSolver(Clock);
     TheoryRoundsTotal += Rounds;
     ClausesRetained += Retained;
     WarmPivots += Warm;
-    WarmStarts += Starts;
   }
 
   TermManager &TM;
@@ -284,15 +263,14 @@ private:
   uint64_t ClausesRetained = 0;
   uint64_t TheoryRoundsTotal = 0;
   uint64_t WarmPivots = 0;
-  uint64_t WarmStarts = 0;
   uint64_t SolverNanos = 0;
 };
 
 /// An incremental query session: one persistent Solver decides a stream of
 /// related queries. Premises are registered once via prepare() (returning a
 /// stable Handle backed by an activation literal) and activated per query as
-/// assumptions, so the SAT encoding, learned clauses, theory lemmas, and the
-/// warm simplex tableau all carry over between queries.
+/// assumptions, so the SAT encoding, learned clauses and theory lemmas all
+/// carry over between queries.
 ///
 /// Handles survive epoch resets: when the underlying solver accumulates too
 /// much dead state (vars beyond kEpochVarLimit), the session transparently
@@ -314,16 +292,9 @@ public:
   /// Registers Formula as an assumable premise (memoized per term).
   Handle prepare(Term Formula);
 
-  /// Pushes Formula as a premise active for every subsequent query until
-  /// the matching pop().
-  void pushContext(Term Formula);
-  void pop();
-
-  /// Decides the context stack and the given premises. With ModelOut, a Sat
-  /// answer fills the model (model queries bypass the verdict memos and the
-  /// stored models). Unknown on budget/cancellation.
-  SolverResult checkUnder(const std::vector<Handle> &Assumed,
-                          Assignment *ModelOut = nullptr);
+  /// Decides the conjunction of the given premises. Unknown on
+  /// budget/cancellation.
+  SolverResult checkUnder(const std::vector<Handle> &Assumed);
 
   /// True iff the active premises are jointly unsatisfiable. Unknown counts
   /// as "not proven", matching QueryEngine::isUnsat.
@@ -353,7 +324,6 @@ private:
   std::unique_ptr<Solver> S;
   std::vector<Term> HandleTerms;
   std::unordered_map<Term, Handle, TermIdHash> HandleOf;
-  std::vector<Term> ContextTerms;
   std::unordered_map<std::vector<uint32_t>, SolverResult, IdVecHash> Memo;
   /// Ring of the last kModelRing Sat models; NextModel is the slot the next
   /// one overwrites once the ring is full.
@@ -363,7 +333,6 @@ private:
   uint64_t SeenRounds = 0;
   uint64_t SeenRetained = 0;
   uint64_t SeenWarm = 0;
-  uint64_t SeenWarmStarts = 0;
 };
 
 } // namespace smt

@@ -857,6 +857,17 @@ TEST(KarrProp, SeedPredicatesAreDeduplicatedAndCapped) {
   EXPECT_EQ(Unique.size(), Seeds.size());
 }
 
+TEST(KarrProp, RegisteredLastInTierOrder) {
+  smt::TermManager TM;
+  auto P = build("var int x := 0;\nthread t { x := 1; }\n", TM);
+  ProgramAnalysis PA(*P);
+  std::vector<const InvariantSource *> Sources = PA.invariantSources();
+  ASSERT_EQ(Sources.size(), 3u);
+  EXPECT_STREQ(Sources[0]->name(), "interval");
+  EXPECT_STREQ(Sources[1]->name(), "octagon");
+  EXPECT_STREQ(Sources[2]->name(), "karr");
+}
+
 //===----------------------------------------------------------------------===//
 // Relational solver-free decider and the conditional tier
 //===----------------------------------------------------------------------===//

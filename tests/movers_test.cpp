@@ -1,9 +1,8 @@
 //===- tests/movers_test.cpp - Mover classification & fusion tests --------===//
 ///
 /// \file
-/// Unit tests for the Lipton mover classification (analysis/Movers.h), the
-/// transaction fusion transform (analysis/Fusion.h), and the congruence
-/// invariant domain (analysis/CongruenceProp.h): lock-protected accesses
+/// Unit tests for the Lipton mover classification (analysis/Movers.h) and the
+/// transaction fusion transform (analysis/Fusion.h): lock-protected accesses
 /// classify as both-movers, acquires/releases get the classic right/left
 /// asymmetry, invariant-dischargeable conflicts yield conditional movers,
 /// fusion respects assert and loop-head barriers and never swallows a
@@ -20,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 
 using namespace seqver;
@@ -291,95 +289,6 @@ TEST(Fusion, PrunedThenFusedShrinksBluetooth) {
   EXPECT_GE(FS.Transactions, 1u);
   EXPECT_LT(FS.AlphabetAfter, FS.AlphabetBefore);
   EXPECT_LT(FS.StatesAfter, FS.StatesBefore);
-}
-
-//===----------------------------------------------------------------------===//
-// Congruence domain
-//===----------------------------------------------------------------------===//
-
-TEST(CongruenceDomain, NormalizationAndMembership) {
-  EXPECT_EQ(Congruence::of(7, 4), Congruence::of(3, 4));
-  EXPECT_EQ(Congruence::of(-1, 4), Congruence::of(3, 4));
-  EXPECT_TRUE(Congruence::of(3, 4).contains(7));
-  EXPECT_FALSE(Congruence::of(3, 4).contains(8));
-  EXPECT_TRUE(Congruence::exact(5).isConst());
-  EXPECT_TRUE(Congruence::exact(5).contains(5));
-  EXPECT_FALSE(Congruence::exact(5).contains(6));
-  EXPECT_TRUE(Congruence::top().contains(INT64_MIN));
-}
-
-TEST(CongruenceDomain, JoinDescendsDivisorChain) {
-  // {0} ⊔ {2} = 0 mod 2;  (0 mod 2) ⊔ {5} = 1 mod... gcd(2, 5) = 1 = top.
-  Congruence Even = congJoin(Congruence::exact(0), Congruence::exact(2));
-  EXPECT_EQ(Even, Congruence::of(0, 2));
-  EXPECT_TRUE(congJoin(Even, Congruence::exact(5)).isTop());
-  // 1 mod 6 ⊔ 4 mod 6 = 1 mod 3.
-  EXPECT_EQ(congJoin(Congruence::of(1, 6), Congruence::of(4, 6)),
-            Congruence::of(1, 3));
-  // Join with an equal constant stays exact.
-  EXPECT_EQ(congJoin(Congruence::exact(3), Congruence::exact(3)),
-            Congruence::exact(3));
-}
-
-TEST(CongruenceDomain, ArithmeticSaturatesSoundly) {
-  Congruence Even = Congruence::of(0, 2);
-  EXPECT_EQ(congAdd(Even, Congruence::exact(1)), Congruence::of(1, 2));
-  EXPECT_EQ(congScale(Even, 3), Congruence::of(0, 6));
-  EXPECT_EQ(congScale(Congruence::exact(4), 0), Congruence::exact(0));
-  // Overflowing products saturate to top, never wrap.
-  EXPECT_TRUE(congScale(Congruence::exact(INT64_MAX), 2).isTop());
-  EXPECT_TRUE(congAdd(Congruence::exact(INT64_MAX),
-                      Congruence::exact(INT64_MAX))
-                  .isTop());
-}
-
-TEST(CongruenceProp, EvenStrideRefutesOddEquality) {
-  smt::TermManager TM;
-  // x stays even through the loop, so the `x == 5` branch is dead — a fact
-  // only the congruence domain sees (the interval contains 5, there is no
-  // affine equality, and the octagon tracks exact bounds only).
-  auto P = build("var int x := 0;\nvar int y := 0;\n"
-                 "thread t {\n"
-                 "  while (*) { x := x + 2; }\n"
-                 "  if (x == 5) { y := 1; }\n"
-                 "}\n",
-                 TM);
-  CongruenceAnalysis Congruences(*P);
-  EXPECT_GE(Congruences.numCongruentLocations(), 1u);
-  ASSERT_GE(Congruences.deadEdges().size(), 1u);
-  IntervalAnalysis Intervals(*P);
-  OctagonAnalysis Octagons(*P);
-  KarrAnalysis Karr(*P);
-  smt::Term XVar = TM.lookupVar("x");
-  bool FoundBranch = false;
-  for (const DeadEdge &E : Congruences.deadEdges()) {
-    const prog::Action &A = P->action(E.EdgeLetter);
-    if (!A.readsVar(XVar))
-      continue;
-    FoundBranch = true;
-    auto Contains = [&](const std::vector<DeadEdge> &List) {
-      return std::any_of(List.begin(), List.end(), [&](const DeadEdge &D) {
-        return D.ThreadId == E.ThreadId && D.From == E.From &&
-               D.EdgeLetter == E.EdgeLetter;
-      });
-    };
-    EXPECT_FALSE(Contains(Intervals.deadEdges())) << A.Name;
-    EXPECT_FALSE(Contains(Octagons.deadEdges())) << A.Name;
-    EXPECT_FALSE(Contains(Karr.deadEdges())) << A.Name;
-  }
-  EXPECT_TRUE(FoundBranch);
-}
-
-TEST(CongruenceProp, RegisteredAsFourthSource) {
-  smt::TermManager TM;
-  auto P = build("var int x := 0;\nthread t { x := 1; }\n", TM);
-  ProgramAnalysis PA(*P);
-  std::vector<const InvariantSource *> Sources = PA.invariantSources();
-  ASSERT_EQ(Sources.size(), 4u);
-  EXPECT_STREQ(Sources[0]->name(), "interval");
-  EXPECT_STREQ(Sources[1]->name(), "octagon");
-  EXPECT_STREQ(Sources[2]->name(), "karr");
-  EXPECT_STREQ(Sources[3]->name(), "congruence");
 }
 
 } // namespace

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+
 using namespace seqver;
 using namespace seqver::smt;
 
@@ -223,6 +225,45 @@ TEST_F(LiaTest, DeepBranchAndBoundStillTerminates) {
             LiaResult::Sat);
   EXPECT_EQ(Model.intValue(X), 4);
   EXPECT_EQ(Model.intValue(Y), 3);
+}
+
+TEST_F(LiaTest, DeepDiveRunsOnSmallThreadStack) {
+  // -a - c - 1 <= 0 and a + 2b - c + 2 == 0 leave b unbounded, so the left
+  // dives never close and branch-and-bound goes down to its node budget
+  // (the unsat-core probes pose such subsets of bounded queries). The
+  // search must not recurse per node: run it on a 256 KiB thread stack.
+  Term A = TM.mkVar("a", Sort::Int);
+  Term B = TM.mkVar("b", Sort::Int);
+  Term C = TM.mkVar("c", Sort::Int);
+  LinSum Lower = TermManager::sumAdd(TermManager::sumScale(TM.sumOfVar(A), -1),
+                                     TermManager::sumScale(TM.sumOfVar(C), -1));
+  Lower.Constant -= 1;
+  LinSum Link = TermManager::sumAdd(
+      TermManager::sumAdd(TM.sumOfVar(A),
+                          TermManager::sumScale(TM.sumOfVar(B), 2)),
+      TermManager::sumScale(TM.sumOfVar(C), -1));
+  Link.Constant += 2;
+  struct Query {
+    std::vector<LiaAtom> Atoms;
+    LiaResult Result = LiaResult::Sat;
+    uint64_t Pivots = 0;
+  } Q{{le(Lower), eq(Link)}};
+  auto Run = [](void *Arg) -> void * {
+    auto *Q = static_cast<Query *>(Arg);
+    LiaSolver Lia;
+    Q->Result = Lia.check(Q->Atoms, {}, nullptr, nullptr);
+    Q->Pivots = Lia.numWarmPivots();
+    return nullptr;
+  };
+  pthread_attr_t Attr;
+  ASSERT_EQ(pthread_attr_init(&Attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&Attr, 256 * 1024), 0);
+  pthread_t Thread;
+  ASSERT_EQ(pthread_create(&Thread, &Attr, Run, &Q), 0);
+  ASSERT_EQ(pthread_join(Thread, nullptr), 0);
+  pthread_attr_destroy(&Attr);
+  EXPECT_EQ(Q.Result, LiaResult::Unknown);
+  EXPECT_GT(Q.Pivots, 0u);
 }
 
 } // namespace

@@ -629,8 +629,7 @@ Axis incrementalAxis(const core::VerifierConfig &Base,
               {"full/inc", "smt_model_tries"},
               {"full/inc", "smt_sessions"},
               {"full/inc", "smt_assumption_solves"},
-              {"full/inc", "smt_theory_rounds"},
-              {"full/inc", "smt_tableau_warm_starts"}};
+              {"full/inc", "smt_theory_rounds"}};
   return A;
 }
 

@@ -2,12 +2,13 @@
 # Perf-regression gate: runs the bench_hotpath microbenchmark (generic
 # sleep-set construction, program-reduction construction, and the verifier
 # DFS over the tier-1 suites), writes BENCH_hotpath.json into the build
-# directory, and compares the suite wall time (the median of the bench's
-# three passes over the suite) against the checked-in baseline at the repo
-# root. Fails when the measured wall time regresses
-# by more than the tolerance (default 15%, override with
+# directory, and compares the suite CPU time (suite_cpu_s: user + sys of
+# the process, the median of the bench's three passes over the suite)
+# against the checked-in baseline at the repo root. Fails when the measured
+# CPU time regresses by more than the tolerance (default 15%, override with
 # SEQVER_PERF_TOLERANCE_PCT). A single retry absorbs scheduler noise
-# before declaring a regression. The counter gates of the other layers
+# before declaring a regression. The suite wall time (suite_wall_s) is
+# printed beside it, ungated. The counter gates of the other layers
 # (fusion, incremental solving, the proof cache, the invariant tiers and
 # the commutativity oracle) are relations of their seqver --check axes
 # (docs/CHECKS.md).
@@ -67,30 +68,33 @@ if [ ! -f "$BASELINE" ]; then
   exit 2
 fi
 
-check_wall() {
-  BASE_WALL=$(json_field "$BASELINE" suite_wall_s)
-  CURR_WALL=$(json_field "$CURRENT" suite_wall_s)
-  if [ -z "$BASE_WALL" ] || [ -z "$CURR_WALL" ]; then
-    echo "error: suite_wall_s missing from baseline or current JSON" >&2
+check_cpu() {
+  BASE_CPU=$(json_field "$BASELINE" suite_cpu_s)
+  CURR_CPU=$(json_field "$CURRENT" suite_cpu_s)
+  if [ -z "$BASE_CPU" ] || [ -z "$CURR_CPU" ]; then
+    echo "error: suite_cpu_s missing from baseline or current JSON" >&2
     exit 2
   fi
-  awk -v base="$BASE_WALL" -v curr="$CURR_WALL" -v tol="$TOLERANCE" '
+  printf 'suite wall time: baseline=%ss current=%ss (not gated)\n' \
+    "$(json_field "$BASELINE" suite_wall_s)" \
+    "$(json_field "$CURRENT" suite_wall_s)"
+  awk -v base="$BASE_CPU" -v curr="$CURR_CPU" -v tol="$TOLERANCE" '
     BEGIN {
       limit = base * (1 + tol / 100)
       pct = base > 0 ? 100 * (curr - base) / base : 0
-      printf "suite wall time: baseline=%.2fs current=%.2fs (%+.1f%%, tolerance %s%%)\n", \
+      printf "suite CPU time: baseline=%.2fs current=%.2fs (%+.1f%%, tolerance %s%%)\n", \
              base, curr, pct, tol
       exit curr > limit ? 1 : 0
     }'
 }
 
-if check_wall; then
+if check_cpu; then
   :
 else
   echo "over tolerance; retrying once to rule out scheduler noise..."
   run_bench
-  if ! check_wall; then
-    echo "FAIL: suite wall time regressed beyond ${TOLERANCE}% of baseline" >&2
+  if ! check_cpu; then
+    echo "FAIL: suite CPU time regressed beyond ${TOLERANCE}% of baseline" >&2
     exit 1
   fi
 fi
