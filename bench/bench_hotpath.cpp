@@ -3,7 +3,7 @@
 /// Measures the state-index hot path (docs/PERF.md): the generic sleep-set
 /// construction and the program-reduction construction are timed on their
 /// hashed InternTable index, and the verifier's DFS is profiled over the
-/// tier-1 suites under the "seq" order (median of three passes, in wall and
+/// tier-1 suites under the "seq" order (median of five passes, in wall and
 /// in CPU time).
 ///
 /// Writes a flat BENCH_hotpath.json (path in argv[1], default
@@ -180,7 +180,7 @@ int main(int argc, char **argv) {
   // figure is the process's CPU time (user + sys) per pass, which leaves
   // out time spent waiting for a core (docs/PERF.md §5 on what noise
   // remains).
-  constexpr size_t SuitePasses = 3;
+  constexpr size_t SuitePasses = 5;
   auto Suite = workloads::svcompLikeSuite();
   for (const auto &Inst : workloads::weaverLikeSuite())
     Suite.push_back(Inst);

@@ -4,7 +4,6 @@
 
 #include "analysis/KarrProp.h"
 #include "analysis/OctagonProp.h"
-#include "core/Interpolation.h"
 #include "persist/Fingerprint.h"
 #include "persist/ProofCache.h"
 #include "persist/TermIO.h"
@@ -709,38 +708,22 @@ VerificationResult Verifier::Impl::run() {
     }
 
     size_t PoolBefore = Proof.numPredicates();
-    auto AddChain = [this](const std::vector<Term> &Chain) {
-      for (Term Assertion : Chain) {
-        if (Assertion == TM.mkTrue())
-          continue;
-        Proof.addPredicate(Assertion);
-        // The atoms of each assertion and their negations join the pool
-        // too. This predicate-abstraction-style enrichment lets the
-        // Floyd/Hoare automaton generalize across loop iterations, standing
-        // in for the interpolant generalization of the paper's
-        // implementation.
-        std::vector<Term> Atoms;
-        collectAtoms(Assertion, Atoms);
-        for (Term Atom : Atoms) {
-          Proof.addPredicate(Atom);
-          Proof.addPredicate(TM.mkNot(Atom));
-        }
-      }
-    };
-    bool Interpolated = false;
-    if (Config.Source != PredicateSource::WpChain) {
-      TraceInterpolation TI = sequenceInterpolants(
-          TM, P, RR.Trace, RR.IsExitTrace ? P.postCondition() : nullptr);
-      if (TI.Success) {
-        AddChain(TI.Chain);
-        Interpolated = true;
-        Stats.add("interpolated_traces");
-      } else {
-        Stats.add("interpolation_fallbacks");
+    for (Term Assertion : Analysis.WpChain) {
+      if (Assertion == TM.mkTrue())
+        continue;
+      Proof.addPredicate(Assertion);
+      // The atoms of each assertion and their negations join the pool
+      // too. This predicate-abstraction-style enrichment lets the
+      // Floyd/Hoare automaton generalize across loop iterations, standing
+      // in for the interpolant generalization of the paper's
+      // implementation.
+      std::vector<Term> Atoms;
+      collectAtoms(Assertion, Atoms);
+      for (Term Atom : Atoms) {
+        Proof.addPredicate(Atom);
+        Proof.addPredicate(TM.mkNot(Atom));
       }
     }
-    if (Config.Source != PredicateSource::Interpolation || !Interpolated)
-      AddChain(Analysis.WpChain);
     if (Proof.numPredicates() == PoolBefore) {
       // No progress: can only happen if a solver Unknown weakened coverage.
       Result.V = stoppedVerdict(Verdict::Unknown);

@@ -39,14 +39,6 @@
 namespace seqver {
 namespace core {
 
-/// Where refinement predicates come from (Sec. 7.2's "sequence of Hoare
-/// triples for the proof of the trace").
-enum class PredicateSource : uint8_t {
-  WpChain,       ///< weakest-precondition chains (always applicable)
-  Interpolation, ///< Farkas sequence interpolants, wp fallback
-  Both,          ///< union of both chains
-};
-
 /// Tuning knobs for one verifier instance (one preference order).
 struct VerifierConfig {
   /// Preference order driving the reduction; null disables ordering-based
@@ -60,12 +52,10 @@ struct VerifierConfig {
   bool UselessStateCache = true;
   /// After a Correct verdict, greedily drop pool predicates while the proof
   /// check still succeeds, reporting the shrunk pool as MinimizedProofSize.
-  /// This makes proof sizes comparable across predicate sources (wp chains
+  /// This makes proof sizes comparable with the paper's (wp chains
   /// enumerate more candidates than the interpolants of the paper's
   /// implementation, but most are redundant).
   bool MinimizeProof = false;
-  /// Refinement predicate source (see PredicateSource).
-  PredicateSource Source = PredicateSource::WpChain;
   red::CommutativityChecker::Mode CommutMode =
       red::CommutativityChecker::Mode::Semantic;
   /// Solver-free static commutativity tier between the syntactic and
@@ -110,7 +100,7 @@ struct VerifierConfig {
   /// this verifier's CommutativityChecker. Non-owning; the caller keeps the
   /// oracle alive for the run and decides its scope — the parallel
   /// portfolio shares one across all workers (ParallelConfig::SharedCommut),
-  /// the CLI optionally binds it to disk (--commut-cache). Null keeps the
+  /// and the CLI hands one to all its verifiers. Null keeps the
   /// historical private-cache-only behavior.
   red::CommutOracle *SharedCommut = nullptr;
   /// Incremental SMT (docs/PERF.md §7): commutativity and Hoare queries run

@@ -62,7 +62,6 @@ public:
   /// An empty directory disables the cache (enabled() == false).
   explicit ProofCache(std::string Directory);
 
-  const std::string &dir() const { return Dir; }
   bool enabled() const { return !Dir.empty(); }
 
   /// Creates the cache directory (and parents) if missing. Returns false

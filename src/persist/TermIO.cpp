@@ -47,10 +47,10 @@ bool isIdentStart(char C) {
   return std::isalpha(static_cast<unsigned char>(C)) || C == '_';
 }
 
-// Covers every name the verifier manufactures: plain program variables,
-// wp-chain havoc symbols (`havoc!3`, `havoc!a2!0`), and interpolation
-// copies (`x@2`). A leading '!' is never part of a name, so negation
-// stays unambiguous.
+// Covers every name the verifier manufactures: plain program variables
+// and wp-chain havoc symbols (`havoc!3`, `havoc!a2!0`); SSA-style copies
+// (`x@2`) that records from older builds may hold lex too. A leading '!'
+// is never part of a name, so negation stays unambiguous.
 bool isIdentCont(char C) {
   return std::isalnum(static_cast<unsigned char>(C)) || C == '_' ||
          C == '!' || C == '@' || C == '.' || C == '#' || C == '$';

@@ -2,8 +2,6 @@
 
 #include "reduction/CommutOracle.h"
 
-#include "persist/CommutStore.h"
-
 using namespace seqver;
 using namespace seqver::red;
 using seqver::persist::Fingerprint;
@@ -74,51 +72,4 @@ size_t CommutOracle::size() const {
     Total += S.Map.size();
   }
   return Total;
-}
-
-size_t CommutOracle::bindDisk(const std::string &Dir,
-                              const Fingerprint &ProgramFP,
-                              bool ConservativeLoad) {
-  DiskDir = Dir;
-  DiskFP = ProgramFP;
-  DiskBound = true;
-  Loaded = 0;
-  persist::CommutStore Store(Dir);
-  std::vector<persist::CommutEntry> Entries;
-  if (!Store.load(ProgramFP, Entries))
-    return 0;
-  for (const persist::CommutEntry &E : Entries) {
-    if (ConservativeLoad && E.Commutes)
-      continue;
-    publish(E.Key, E.Commutes);
-    ++Loaded;
-  }
-  return static_cast<size_t>(Loaded);
-}
-
-bool CommutOracle::flushDisk() const {
-  if (!DiskBound)
-    return false;
-  persist::CommutStore Store(DiskDir);
-  if (!Store.prepare())
-    return false;
-  // Load-merge-store: keep answers another process persisted meanwhile,
-  // with this table's answers taking precedence on overlap. The final
-  // rename is atomic, so a racing flush ends last-writer-wins with a
-  // well-formed record either way.
-  std::vector<persist::CommutEntry> Merged;
-  std::unordered_map<Fingerprint, bool, KeyHash> Seen;
-  for (const Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.M);
-    for (const auto &[Key, Commutes] : S.Map) {
-      Merged.push_back({Key, Commutes});
-      Seen.emplace(Key, Commutes);
-    }
-  }
-  std::vector<persist::CommutEntry> Existing;
-  if (Store.load(DiskFP, Existing))
-    for (const persist::CommutEntry &E : Existing)
-      if (Seen.emplace(E.Key, E.Commutes).second)
-        Merged.push_back(E);
-  return Store.store(DiskFP, Merged);
 }

@@ -16,7 +16,7 @@
 /// to "true"). The answer to a commutativity query is a function of
 /// exactly this text — the symbolic compositions and the unsat checks see
 /// nothing else — so equal texts may soundly share one answer across
-/// managers, workers, refinement rounds, and process runs.
+/// managers, workers, and refinement rounds.
 ///
 /// **Collisions.** Keys store only the 128-bit hash, not the text; two
 /// distinct queries colliding in all 128 bits would alias an answer. Both
@@ -29,14 +29,6 @@
 /// hash map, selected by key bits that the in-shard hash does not reuse.
 /// clear() empties every shard but keeps bucket capacity, matching the
 /// clear-keeps-capacity discipline of support/InternTable.h.
-///
-/// **Persistence.** bindDisk() loads the `<fingerprint>.commut` record of
-/// persist/CommutStore.h into the table and flushDisk() merges the table
-/// back out (load-merge-store under the store's atomic rename). The trust
-/// model lives here: "dependent" answers are unconditionally sound to
-/// reuse (they only weaken the reduction), "commutes" answers are trusted
-/// only on the exact fingerprint+version+checksum match the store
-/// enforces, and a conservative bind drops persisted positives entirely.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,8 +60,7 @@ std::string canonicalActionText(const smt::TermManager &TM,
                                 const prog::Action &A);
 
 /// Thread-safe shared memo table; see file comment. All methods are safe
-/// to call concurrently except bindDisk(), which must happen before the
-/// table is shared.
+/// to call concurrently.
 class CommutOracle {
 public:
   CommutOracle() = default;
@@ -95,24 +86,6 @@ public:
   void clear();
   size_t size() const;
 
-  /// Loads the persisted record for ProgramFP from Dir into the table
-  /// (missing/invalid records are silent misses). ConservativeLoad drops
-  /// persisted "commutes" answers, reusing negatives only. Returns the
-  /// number of entries loaded; also remembers the binding so flushDisk()
-  /// can write back. Not thread-safe: bind before sharing the table.
-  size_t bindDisk(const std::string &Dir,
-                  const persist::Fingerprint &ProgramFP,
-                  bool ConservativeLoad = false);
-
-  /// Merges the table into the bound record (existing on-disk entries are
-  /// kept unless the table overrides them) and stores it atomically.
-  /// No-op returning false when bindDisk() was never called or the
-  /// directory is unusable.
-  bool flushDisk() const;
-
-  /// Entries bindDisk() loaded (for reporting; 0 before any bind).
-  uint64_t numLoaded() const { return Loaded; }
-
 private:
   static constexpr size_t NumShards = 16;
   struct KeyHash {
@@ -134,10 +107,6 @@ private:
   }
 
   Shard Shards[NumShards];
-  std::string DiskDir;
-  persist::Fingerprint DiskFP;
-  bool DiskBound = false;
-  uint64_t Loaded = 0;
 };
 
 } // namespace red

@@ -114,8 +114,7 @@ TEST(TiersDifferential, InvariantTiersAndSeedsSaveRounds) {
 }
 
 /// The shared commutativity oracle on all of tier 1, as one-job races: its
-/// semantic-query count stays under the cap set on these suites, and a
-/// warm start from the persisted oracle asks at most 30% of a cold one's.
+/// semantic-query count stays under the cap set on these suites.
 TEST(CommutDifferential, SharedOracleCap) {
   EXPECT_EQ(runSlice("commut", {}, {}), 0);
 }

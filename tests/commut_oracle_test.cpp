@@ -1,17 +1,14 @@
 //===- tests/commut_oracle_test.cpp - Shared commutativity oracle ---------===//
 ///
 /// \file
-/// The shared commutativity oracle (reduction/CommutOracle.h) and its
-/// persistence (persist/CommutStore.h): canonical keys must agree across
-/// independent TermManagers, sharing must be deterministic and respect the
-/// publication invariants (cancelled and location-dependent answers stay
-/// out), and the on-disk trust model must reject poisoned or mismatched
-/// records.
+/// The shared commutativity oracle (reduction/CommutOracle.h): canonical
+/// keys must agree across independent TermManagers, and sharing must be
+/// deterministic and respect the publication invariants (cancelled and
+/// location-dependent answers stay out).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/Verifier.h"
-#include "persist/CommutStore.h"
 #include "persist/Fingerprint.h"
 #include "program/CfgBuilder.h"
 #include "reduction/CommutOracle.h"
@@ -24,13 +21,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
-
-#include <unistd.h>
 
 using namespace seqver;
 using red::CommutativityChecker;
@@ -53,22 +46,6 @@ std::unique_ptr<prog::ConcurrentProgram> build(const std::string &Source,
   EXPECT_TRUE(R.ok()) << R.Error;
   return std::move(R.Program);
 }
-
-/// Unique per-test cache directory, removed on scope exit.
-struct TempCacheDir {
-  std::string Path;
-  TempCacheDir() {
-    static std::atomic<int> Counter{0};
-    Path = ::testing::TempDir() + "seqver_commut_" +
-           std::to_string(::getpid()) + "_" +
-           std::to_string(Counter.fetch_add(1));
-    std::filesystem::create_directories(Path);
-  }
-  ~TempCacheDir() {
-    std::error_code EC;
-    std::filesystem::remove_all(Path, EC);
-  }
-};
 
 persist::Fingerprint keyOf(uint64_t Hi, uint64_t Lo) {
   persist::Fingerprint FP;
@@ -260,114 +237,6 @@ TEST(SharedOracleTest, ParallelPortfolioRerunHitsSharedTable) {
       runtime::runPortfolioParallel(Source, Base, PC);
   EXPECT_EQ(R1.Best.V, R2.Best.V);
   EXPECT_GT(R2.Merged.get("commut_shared_hits"), 0);
-}
-
-//===----------------------------------------------------------------------===//
-// Disk persistence and the trust model
-//===----------------------------------------------------------------------===//
-
-TEST(CommutStoreTest, RoundTripAndChecksumRejection) {
-  TempCacheDir Dir;
-  persist::CommutStore Store(Dir.Path);
-  ASSERT_TRUE(Store.prepare());
-  persist::Fingerprint FP = keyOf(0x1111, 0x2222);
-  std::vector<persist::CommutEntry> In = {{keyOf(1, 2), true},
-                                          {keyOf(3, 4), false}};
-  ASSERT_TRUE(Store.store(FP, In));
-  std::vector<persist::CommutEntry> Out;
-  ASSERT_TRUE(Store.load(FP, Out));
-  ASSERT_EQ(Out.size(), 2u);
-  EXPECT_EQ(Out[0].Key, In[0].Key);
-  EXPECT_TRUE(Out[0].Commutes);
-  EXPECT_FALSE(Out[1].Commutes);
-
-  // A record load with the wrong key is a miss, not the other record.
-  std::vector<persist::CommutEntry> Miss;
-  EXPECT_FALSE(Store.load(keyOf(0x9999, 0x8888), Miss));
-
-  // Flip one answer byte in place: the checksum must reject the record.
-  std::string Path = Store.pathFor(FP);
-  std::ifstream InF(Path);
-  std::string Content((std::istreambuf_iterator<char>(InF)),
-                      std::istreambuf_iterator<char>());
-  InF.close();
-  size_t Pos = Content.find("commutes");
-  ASSERT_NE(Pos, std::string::npos);
-  Content.replace(Pos, 8, "dependent"); // poisoned flip, checksum stale
-  std::ofstream OutF(Path, std::ios::trunc);
-  OutF << Content;
-  OutF.close();
-  std::vector<persist::CommutEntry> Poisoned;
-  EXPECT_FALSE(Store.load(FP, Poisoned))
-      << "a flipped answer with a stale checksum must be a miss";
-}
-
-TEST(OracleDiskTest, FlushAndRebindRoundTrip) {
-  TempCacheDir Dir;
-  persist::Fingerprint FP = keyOf(0xAB, 0xCD);
-  CommutOracle Writer;
-  ASSERT_EQ(Writer.bindDisk(Dir.Path, FP), 0u);
-  Writer.publish(keyOf(1, 1), true);
-  Writer.publish(keyOf(2, 2), false);
-  ASSERT_TRUE(Writer.flushDisk());
-
-  CommutOracle Reader;
-  EXPECT_EQ(Reader.bindDisk(Dir.Path, FP), 2u);
-  EXPECT_EQ(Reader.lookup(keyOf(1, 1)), OracleAnswer::Commutes);
-  EXPECT_EQ(Reader.lookup(keyOf(2, 2)), OracleAnswer::Dependent);
-  EXPECT_EQ(Reader.lookup(keyOf(3, 3)), OracleAnswer::Unknown);
-}
-
-TEST(OracleDiskTest, FlushMergesWithExistingRecord) {
-  // Two oracles flushing disjoint answers: the second flush load-merges,
-  // so both survive (last-writer-wins only on colliding keys).
-  TempCacheDir Dir;
-  persist::Fingerprint FP = keyOf(0xAB, 0xCD);
-  CommutOracle A;
-  A.bindDisk(Dir.Path, FP);
-  A.publish(keyOf(1, 1), true);
-  ASSERT_TRUE(A.flushDisk());
-  CommutOracle B;
-  B.bindDisk(Dir.Path, FP); // loads A's entry
-  B.publish(keyOf(2, 2), false);
-  ASSERT_TRUE(B.flushDisk());
-
-  CommutOracle Reader;
-  EXPECT_EQ(Reader.bindDisk(Dir.Path, FP), 2u);
-  EXPECT_EQ(Reader.lookup(keyOf(1, 1)), OracleAnswer::Commutes);
-  EXPECT_EQ(Reader.lookup(keyOf(2, 2)), OracleAnswer::Dependent);
-}
-
-TEST(OracleDiskTest, PoisonedPositiveInvisibleUnderOtherFingerprint) {
-  // A "commutes" record persisted for one program must not leak into a
-  // different program's namespace: the bind keys strictly on the
-  // fingerprint.
-  TempCacheDir Dir;
-  CommutOracle Writer;
-  Writer.bindDisk(Dir.Path, keyOf(0x1, 0x1));
-  Writer.publish(keyOf(7, 7), true);
-  ASSERT_TRUE(Writer.flushDisk());
-
-  CommutOracle Other;
-  EXPECT_EQ(Other.bindDisk(Dir.Path, keyOf(0x2, 0x2)), 0u);
-  EXPECT_EQ(Other.lookup(keyOf(7, 7)), OracleAnswer::Unknown);
-}
-
-TEST(OracleDiskTest, ConservativeBindReusesNegativesOnly) {
-  TempCacheDir Dir;
-  persist::Fingerprint FP = keyOf(0xAB, 0xCD);
-  CommutOracle Writer;
-  Writer.bindDisk(Dir.Path, FP);
-  Writer.publish(keyOf(1, 1), true);
-  Writer.publish(keyOf(2, 2), false);
-  ASSERT_TRUE(Writer.flushDisk());
-
-  CommutOracle Conservative;
-  EXPECT_EQ(Conservative.bindDisk(Dir.Path, FP, /*ConservativeLoad=*/true),
-            1u);
-  EXPECT_EQ(Conservative.lookup(keyOf(1, 1)), OracleAnswer::Unknown)
-      << "conservative mode must drop persisted positives";
-  EXPECT_EQ(Conservative.lookup(keyOf(2, 2)), OracleAnswer::Dependent);
 }
 
 //===----------------------------------------------------------------------===//

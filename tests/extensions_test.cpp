@@ -1,9 +1,7 @@
-//===- tests/extensions_test.cpp - Minimization + adaptive scheduler ------===//
+//===- tests/extensions_test.cpp - DFA and proof minimization -------------===//
 ///
 /// Tests for the components beyond the paper's core algorithms: DFA
-/// minimization (used by the size studies) and the iterative-deepening
-/// adaptive order scheduler (the Limitations section's "dynamic adjustment"
-/// suggestion).
+/// minimization (used by the size studies) and greedy proof minimization.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -88,63 +86,6 @@ TEST_P(MinimizeRandom, PreservesLanguageAndShrinks) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MinimizeRandom, ::testing::Range(0, 60));
-
-//===----------------------------------------------------------------------===//
-// Adaptive portfolio scheduler
-//===----------------------------------------------------------------------===//
-
-TEST(AdaptiveTest, DecidesCorrectProgram) {
-  smt::TermManager TM;
-  prog::BuildResult B =
-      prog::buildFromSource(workloads::bluetoothSource(2), TM);
-  ASSERT_TRUE(B.ok());
-  core::VerifierConfig Config;
-  Config.TimeoutSeconds = 60;
-  core::AdaptiveResult R = core::runAdaptivePortfolio(*B.Program, Config);
-  EXPECT_EQ(R.Result.V, core::Verdict::Correct);
-  EXPECT_FALSE(R.DecidingOrder.empty());
-}
-
-TEST(AdaptiveTest, DecidesIncorrectProgram) {
-  smt::TermManager TM;
-  prog::BuildResult B = prog::buildFromSource(
-      workloads::bluetoothSource(1, /*WithBug=*/true), TM);
-  ASSERT_TRUE(B.ok());
-  core::VerifierConfig Config;
-  Config.TimeoutSeconds = 60;
-  core::AdaptiveResult R = core::runAdaptivePortfolio(*B.Program, Config);
-  EXPECT_EQ(R.Result.V, core::Verdict::Incorrect);
-}
-
-TEST(AdaptiveTest, RespectsGlobalTimeout) {
-  smt::TermManager TM;
-  prog::BuildResult B =
-      prog::buildFromSource(workloads::bluetoothSource(4), TM);
-  ASSERT_TRUE(B.ok());
-  core::VerifierConfig Config;
-  Config.TimeoutSeconds = 0.0001;
-  core::AdaptiveResult R =
-      core::runAdaptivePortfolio(*B.Program, Config, 0.00005);
-  EXPECT_EQ(R.Result.V, core::Verdict::Timeout);
-}
-
-TEST(AdaptiveTest, AgreesWithPortfolioOnSuites) {
-  // Spot check a handful of instances across both suites.
-  auto Suite = workloads::svcompLikeSuite();
-  size_t Checked = 0;
-  for (size_t I = 0; I < Suite.size() && Checked < 6; I += 5, ++Checked) {
-    smt::TermManager TM;
-    prog::BuildResult B = prog::buildFromSource(Suite[I].Source, TM);
-    ASSERT_TRUE(B.ok()) << Suite[I].Name;
-    core::VerifierConfig Config;
-    Config.TimeoutSeconds = 30;
-    core::AdaptiveResult R = core::runAdaptivePortfolio(*B.Program, Config);
-    EXPECT_EQ(R.Result.V, Suite[I].ExpectedCorrect
-                              ? core::Verdict::Correct
-                              : core::Verdict::Incorrect)
-        << Suite[I].Name;
-  }
-}
 
 //===----------------------------------------------------------------------===//
 // Proof minimization

@@ -170,8 +170,9 @@ TEST_F(TermIOTest, RoundTripBasics) {
 }
 
 TEST_F(TermIOTest, RoundTripManufacturedNames) {
-  // The names the verifier's fresh-variable sources and interpolation
-  // produce must lex as single identifiers.
+  // The names the verifier's fresh-variable sources produce, and the
+  // SSA-style copies older records may hold, must lex as single
+  // identifiers.
   Term H = TM.mkVar("havoc!3", Sort::Int);
   Term H2 = TM.mkVar("havoc!a2!0", Sort::Int);
   Term At = TM.mkVar("x@2", Sort::Int);

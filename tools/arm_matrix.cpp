@@ -352,30 +352,16 @@ std::string storeDir(const std::string &Dir, const WorkloadInstance &W) {
 }
 
 /// The parallel portfolio race; counters are the workers' merged sinks.
-/// With SharedOracle, the race gets a fresh shared commutativity oracle;
-/// a non-empty Dir binds it to W's store there, so it loads what an
-/// earlier arm flushed, and flushes it after the race.
+/// With SharedOracle, the race gets a fresh shared commutativity oracle.
 ArmFn raceArm(core::VerifierConfig C, runtime::ParallelConfig PC,
-              bool SharedOracle = false, std::string Dir = "") {
-  return [C, PC, SharedOracle, Dir](const WorkloadInstance &W) {
+              bool SharedOracle = false) {
+  return [C, PC, SharedOracle](const WorkloadInstance &W) {
     red::CommutOracle Table;
     runtime::ParallelConfig Race = PC;
     Race.SharedCommut = SharedOracle ? &Table : nullptr;
-    size_t Loaded = 0;
-    if (!Dir.empty()) {
-      // The workers build the plain program: no pruning, no fusion.
-      smt::TermManager TM;
-      Loaded = Table.bindDisk(
-          storeDir(Dir, W),
-          persist::fingerprintProgram(*build(W.Source, TM).Program));
-    }
     runtime::ParallelPortfolioResult R =
         runtime::runPortfolioParallel(W.Source, C, Race);
-    if (!Dir.empty())
-      Table.flushDisk();
-    Outcome O = withWallMs(R.Best.V, R.Merged, R.WallSeconds);
-    O.Stats.add("commut_loaded", static_cast<int64_t>(Loaded));
-    return O;
+    return withWallMs(R.Best.V, R.Merged, R.WallSeconds);
   };
 }
 
@@ -548,24 +534,18 @@ Axis fusionAxis(const core::VerifierConfig &Base, runtime::ParallelConfig PC,
 }
 
 Axis commutAxis(const core::VerifierConfig &Base, runtime::ParallelConfig PC,
-                const std::string &Dir) {
-  // One-job races: the orders run in priority order, so the relations
-  // compare the same runs every time instead of racing winners.
+                const std::string &) {
+  // A one-job race: the orders run in priority order, so the cap sees the
+  // same runs every time instead of racing winners.
   PC.Jobs = 1;
   Axis A{tier1Suites(), {}, {}, {}};
   // The sharing axis owns the savings of the shared oracle; this one caps
-  // its query count and checks the persisted warm start.
-  A.Arms = {{"shared", raceArm(Base, PC, true)},
-            {"cold", raceArm(Base, PC, true, Dir)},
-            {"warm", raceArm(Base, PC, true, Dir)}};
-  Counter Shared{"shared", "commut_semantic"}, Cold{"cold", "commut_semantic"},
-      Warm{"warm", "commut_semantic"};
-  A.Relations = {compare(Total, Warm, Less, Cold),
-                 compare(Total, Warm, LessEq, Cold, {}, 30),
-                 // Within 15% of the shared arm's count on the full suites
-                 // when this bound was set (3,929): floor(1.15 * 3929).
-                 bound(Total, Shared, LessEq, 4518)};
-  A.Report = {{"shared", "commut_shared_hits"}, {"warm", "commut_loaded"}};
+  // its query count in the race.
+  A.Arms = {{"shared", raceArm(Base, PC, true)}};
+  // Within 15% of the shared arm's count on the full suites when this
+  // bound was set (3,929): floor(1.15 * 3929).
+  A.Relations = {bound(Total, {"shared", "commut_semantic"}, LessEq, 4518)};
+  A.Report = {{"shared", "commut_shared_hits"}};
   return A;
 }
 
@@ -634,7 +614,7 @@ Axis incrementalAxis(const core::VerifierConfig &Base,
 }
 
 /// Builds an axis from the base config, the race config (--jobs) and the
-/// temporary directory of the cache and commut arms.
+/// temporary directory of the cache arms.
 using AxisBuilder = Axis (*)(const core::VerifierConfig &,
                              runtime::ParallelConfig, const std::string &);
 const std::pair<const char *, AxisBuilder> Axes[] = {
@@ -657,7 +637,7 @@ int seqver::check::runAxis(const std::string &Name,
   Base.RandSeedBase = Opts.RandSeedBase;
   runtime::ParallelConfig PC;
   PC.Jobs = Opts.Jobs;
-  // The cache and commut arms keep their stores here; it starts empty.
+  // The cache arms keep their stores here; it starts empty.
   std::string Dir = (std::filesystem::temp_directory_path() /
                      ("seqver-check-" + Name + "-" + std::to_string(getpid())))
                         .string();

@@ -27,13 +27,15 @@ thread worker {
 thread checker { assert total <= 10; }
 EOF
 
-# 1. Malformed options exit 2 with the usage text (arguments word-split on
+# 1. Malformed options, the removed predicate-source and commutativity-store
+# flags included, exit 2 with the usage text (arguments word-split on
 # purpose); well-formed numbers still parse.
 for args in "--order=bogus" "--order=rand(1) --rand-seed=5" \
             "--timeout=abc" "--timeout=-1" "--timeout=inf" "--jobs=-1" \
             "--jobs=2x" "--rand-seed=garbage" "--simulate=12abc" \
             "--simulate=" "--check=bogus" "--check=tiers,slow" \
-            "--portfolio=parallel"; do
+            "--portfolio=parallel" "--source=interp" \
+            "--commut-cache=persist" "--commut-cache=off"; do
   status=0
   # shellcheck disable=SC2086
   OUT=$("$SEQVER" $args "$PROBE" 2>&1) || status=$?
@@ -56,18 +58,7 @@ MERGED=$("$SEQVER" --stats "$PROBE" | grep '^merged stats:' || true)
 nonzero commut_karr "$MERGED" || fail "commut_karr not merged: ${MERGED:-<missing>}"
 echo "karr-merge probe: ok"
 
-# 3. Racing-timing shared hits are nondeterministic, so the second race
-# warm-starts from the oracle the first one persisted. Catches a broken
-# oracle wiring in the runtime and a dropped counter in the merge.
-for run in cold warm; do
-  MERGED=$("$SEQVER" --jobs=2 --commut-cache=persist \
-             --cache-dir="$TMP/commut" --stats "$PROBE" | grep '^merged stats:' || true)
-done
-nonzero commut_shared_hits "$MERGED" \
-  || fail "warm persisted race has no commut_shared_hits: ${MERGED:-<missing>}"
-echo "commut-oracle warm probe: ok"
-
-# 4. The proof cache through --cache-dir/--cache-stats, as a user drives it.
+# 3. The proof cache through --cache-dir/--cache-stats, as a user drives it.
 for run in cold warm; do
   WARM=$("$SEQVER" --order=seq --cache-dir="$TMP/proofs" --cache-stats "$PROBE" \
            | grep '^cache:' || true)
@@ -78,7 +69,7 @@ case "$WARM" in
   *) fail "warm --cache-dir run reported no hit: ${WARM:-<missing>}" ;;
 esac
 
-# 5. A default (portfolio) cold run on an empty --cache-dir stores its proof
+# 4. A default (portfolio) cold run on an empty --cache-dir stores its proof
 # and counts the store.
 COLD=$("$SEQVER" --cache-dir="$TMP/portfolio" --cache-stats "$PROBE" | grep '^cache:' || true)
 case "$COLD" in

@@ -3,7 +3,7 @@
 # sleep-set construction, program-reduction construction, and the verifier
 # DFS over the tier-1 suites), writes BENCH_hotpath.json into the build
 # directory, and compares the suite CPU time (suite_cpu_s: user + sys of
-# the process, the median of the bench's three passes over the suite)
+# the process, the median of the bench's five passes over the suite)
 # against the checked-in baseline at the repo root. Fails when the measured
 # CPU time regresses by more than the tolerance (default 15%, override with
 # SEQVER_PERF_TOLERANCE_PCT). A single retry absorbs scheduler noise

@@ -40,9 +40,6 @@
 ///   --cache-dir=<dir>     persistent proof cache directory (docs/PERSIST.md)
 ///   --no-cache            ignore any --cache-dir given earlier
 ///   --cache-stats         print the cache counters after the run
-///   --commut-cache=<off|shared|persist|conservative>
-///                         shared commutativity oracle (default shared;
-///                         docs/PERF.md §6 and docs/PERSIST.md)
 ///   --no-incremental      one fresh SMT solver per query instead of the
 ///                         incremental sessions (docs/PERF.md §7)
 ///   --timeout=<seconds>   timeout of the whole run (default 60; 0
@@ -50,8 +47,6 @@
 ///   --witness             print the error trace for incorrect programs
 ///   --proof               print the final proof assertions
 ///   --minimize            greedily minimize the proof before reporting
-///   --source=<wp|interp|both>
-///                         refinement predicate source (default wp)
 ///   --simulate=<n>        before verifying, try n random executions
 ///   --stats               print detailed statistics
 ///
@@ -65,7 +60,6 @@
 #include "analysis/Analysis.h"
 #include "analysis/Fusion.h"
 #include "core/Portfolio.h"
-#include "persist/Fingerprint.h"
 #include "reduction/CommutOracle.h"
 #include "program/CfgBuilder.h"
 #include "program/Interpreter.h"
@@ -104,14 +98,12 @@ struct CliOptions {
   bool PrintWitness = false;
   bool PrintProof = false;
   bool Minimize = false;
-  std::string Source = "wp";
   uint64_t Simulate = 0;
   bool PrintStats = false;
   double Timeout = 60;
   bool TimeoutSet = false;
   std::string CacheDir;
   bool CacheStats = false;
-  std::string CommutCache = "shared";
   bool Incremental = true;
 };
 
@@ -126,10 +118,8 @@ void printUsage() {
       "  --no-proof-sensitive --no-static --no-octagon --no-karr\n"
       "  --seed-proof --no-seed --no-prune --fuse --no-fuse\n"
       "  --cache-dir=<dir> --no-cache --cache-stats\n"
-      "  --commut-cache=<off|shared|persist|conservative>\n"
       "  --no-incremental --incremental --minimize\n"
-      "  --source=<wp|interp|both> --simulate=<n>\n"
-      "  --timeout=<seconds> --witness --proof --stats\n");
+      "  --simulate=<n> --timeout=<seconds> --witness --proof --stats\n");
 }
 
 /// Parses all of Text as a number of Out's type: no sign an unsigned type
@@ -171,10 +161,7 @@ bool parseArgs(int argc, char **argv, CliOptions &Opts) {
   const std::pair<std::string,
                   std::pair<std::string *, std::vector<std::string>>>
       Choices[] = {
-          {"--analyze", {&Opts.AnalyzeFocus, {"karr", "movers"}}},
-          {"--commut-cache",
-           {&Opts.CommutCache, {"off", "shared", "persist", "conservative"}}},
-          {"--source", {&Opts.Source, {"wp", "interp", "both"}}}};
+          {"--analyze", {&Opts.AnalyzeFocus, {"karr", "movers"}}}};
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
     size_t Eq = Arg.find('=');
@@ -414,33 +401,15 @@ int main(int argc, char **argv) {
   Config.SeedProof = Opts.SeedProof;
   Config.IncrementalSmt = Opts.Incremental;
   Config.MinimizeProof = Opts.Minimize;
-  Config.Source = Opts.Source == "interp"
-                      ? core::PredicateSource::Interpolation
-                  : Opts.Source == "both" ? core::PredicateSource::Both
-                                          : core::PredicateSource::WpChain;
 
-  // Shared commutativity oracle (reduction/CommutOracle.h). Created here,
-  // after pruning and fusion, so the disk namespace fingerprint is taken
-  // from the very program the verifiers run (portfolio workers rebuild the
-  // identical program: same source, same preprocessing flags). The table
-  // outlives both branches below; workers hold non-owning pointers.
+  // Shared commutativity oracle (reduction/CommutOracle.h): one in-memory
+  // table for every verifier of this run. It outlives both branches below;
+  // workers hold non-owning pointers.
   red::CommutOracle CommutTable;
-  red::CommutOracle *Oracle =
-      Opts.CommutCache == "off" ? nullptr : &CommutTable;
-  bool CommutDisk = (Opts.CommutCache == "persist" ||
-                     Opts.CommutCache == "conservative") &&
-                    !Opts.CacheDir.empty();
-  if (CommutDisk) {
-    size_t Loaded =
-        CommutTable.bindDisk(Opts.CacheDir, persist::fingerprintProgram(P),
-                             Opts.CommutCache == "conservative");
-    if (Opts.CacheStats)
-      std::printf("commut cache: loaded %zu persisted answer(s)\n", Loaded);
-  }
 
   core::Verdict Final = core::Verdict::Unknown;
   if (!Opts.Order.empty()) {
-    Config.SharedCommut = Oracle;
+    Config.SharedCommut = &CommutTable;
     core::VerificationResult R = core::runSingleOrder(P, Config, Opts.Order);
     report(R, P, Opts, Opts.Order);
     if (Opts.CacheStats)
@@ -454,7 +423,7 @@ int main(int argc, char **argv) {
     PC.OctagonPrune = !Opts.NoOctagon;
     PC.KarrPrune = !Opts.NoOctagon && !Opts.NoKarr;
     PC.FuseTransactions = Opts.Fuse;
-    PC.SharedCommut = Oracle;
+    PC.SharedCommut = &CommutTable;
     runtime::ParallelPortfolioResult R =
         runtime::runPortfolioParallel(Buffer.str(), Config, PC);
     report(R.Best, P, Opts, R.BestOrder);
@@ -468,12 +437,6 @@ int main(int argc, char **argv) {
     if (Opts.CacheStats)
       reportCacheStats(R.Merged);
     Final = R.Best.V;
-  }
-  if (CommutDisk) {
-    CommutTable.flushDisk();
-    if (Opts.CacheStats)
-      std::printf("commut cache: flushed %zu answer(s)\n",
-                  CommutTable.size());
   }
   return Final == core::Verdict::Correct     ? 0
          : Final == core::Verdict::Incorrect ? 1
