@@ -233,7 +233,9 @@ MoverAnalysis::MoverAnalysis(
       // Conditional both-movers: the pair's commutativity obligations close
       // statically, possibly only under the per-location invariants of a
       // registered source (which then names the justification).
-      StaticTierVerdict V = Static.decide(nullptr, A, B);
+      StaticTierVerdict V = Static.decide(
+          nullptr, A, B,
+          prog::commutationObligations(P.termManager(), ActA, ActB));
       if (V != StaticTierVerdict::Unknown) {
         ++Pairs.PairsStatic;
         if (V == StaticTierVerdict::Octagon) {

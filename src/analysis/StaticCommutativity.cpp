@@ -6,16 +6,12 @@
 #include "analysis/KarrProp.h"
 #include "analysis/OctagonProp.h"
 #include "analysis/Refine.h"
-#include "program/Semantics.h"
 
-#include <algorithm>
 #include <cstring>
 
 using namespace seqver;
 using namespace seqver::analysis;
 using seqver::automata::Letter;
-using seqver::prog::Action;
-using seqver::prog::SymbolicState;
 using seqver::smt::Term;
 using seqver::smt::TermKind;
 using seqver::smt::TermManager;
@@ -96,15 +92,6 @@ bool seqver::analysis::staticallyUnsatAffine(const TermManager &TM,
   return karrEval(TM, S, Formula) == Tri::False;
 }
 
-bool StaticCommutativity::provablyCommutes(Term Phi, Letter A, Letter B) {
-  return decideImpl(Phi, A, B, /*WithInvariants=*/false) !=
-         StaticTierVerdict::Unknown;
-}
-
-StaticTierVerdict StaticCommutativity::decide(Term Phi, Letter A, Letter B) {
-  return decideImpl(Phi, A, B, /*WithInvariants=*/true);
-}
-
 void StaticCommutativity::setInvariantContext(
     std::vector<const InvariantSource *> NewSources) {
   Sources = std::move(NewSources);
@@ -132,46 +119,16 @@ Term StaticCommutativity::invariantFor(const InvariantSource &S,
   return S.invariantAt(SrcOf[L]->first, SrcOf[L]->second);
 }
 
-StaticTierVerdict StaticCommutativity::decideImpl(Term Phi, Letter A,
-                                                  Letter B,
-                                                  bool WithInvariants) {
+StaticTierVerdict
+StaticCommutativity::decide(Term Phi, Letter A, Letter B,
+                            const prog::CommutationObligations &Obl) {
   ++Queries;
-  const Action &ActA = P.action(std::min(A, B));
-  const Action &ActB = P.action(std::max(A, B));
-
-  // Same symbolic compositions as CommutativityChecker::semanticCheck, with
-  // the same canonical havoc naming, so obligations match term-for-term.
-  std::map<std::pair<Letter, size_t>, Term> Havocs;
-  SymbolicState AB = prog::symbolicIdentity(TM);
-  applySymbolic(TM, ActA, AB, Havocs);
-  applySymbolic(TM, ActB, AB, Havocs);
-  SymbolicState BA = prog::symbolicIdentity(TM);
-  applySymbolic(TM, ActB, BA, Havocs);
-  applySymbolic(TM, ActA, BA, Havocs);
-
   Term Context = Phi ? Phi : TM.mkTrue();
-
   std::vector<Term> Obligations;
-  Term GuardsDiffer = TM.mkNot(TM.mkIff(AB.Guard, BA.Guard));
-  Obligations.push_back(TM.mkAnd(Context, GuardsDiffer));
-
-  std::vector<Term> Written;
-  Written.insert(Written.end(), ActA.Writes.begin(), ActA.Writes.end());
-  Written.insert(Written.end(), ActB.Writes.begin(), ActB.Writes.end());
-  std::sort(Written.begin(), Written.end(),
-            [](Term X, Term Y) { return X->id() < Y->id(); });
-  Written.erase(std::unique(Written.begin(), Written.end()), Written.end());
-
-  for (Term Var : Written) {
-    Term ValuesDiffer;
-    if (Var->sort() == smt::Sort::Int) {
-      ValuesDiffer =
-          TM.mkNot(TM.mkEq(AB.intValue(TM, Var), BA.intValue(TM, Var)));
-    } else {
-      ValuesDiffer = TM.mkNot(TM.mkIff(AB.boolValue(Var), BA.boolValue(Var)));
-    }
-    Obligations.push_back(TM.mkAnd({Context, AB.Guard, ValuesDiffer}));
-  }
+  Obligations.reserve(1 + Obl.ValuesDiffer.size());
+  Obligations.push_back(TM.mkAnd(Context, Obl.GuardsDiffer));
+  for (Term ValuesDiffer : Obl.ValuesDiffer)
+    Obligations.push_back(TM.mkAnd({Context, Obl.CommonGuard, ValuesDiffer}));
 
   // Tier 1: plain interval reasoning over the obligations as-is. A proof
   // here implies the semantic (SMT) answer for the same phi.
@@ -190,7 +147,7 @@ StaticTierVerdict StaticCommutativity::decideImpl(Term Phi, Letter A,
   // the relational and affine deciders as well. An obligation closed by an
   // earlier source stays closed; the source whose pass empties the open
   // set names the verdict.
-  if (!WithInvariants || Sources.empty())
+  if (Sources.empty())
     return StaticTierVerdict::Unknown;
   Term Inv = TM.mkTrue();
   for (const InvariantSource *S : Sources) {
@@ -216,24 +173,4 @@ StaticTierVerdict StaticCommutativity::decideImpl(Term Phi, Letter A,
     }
   }
   return StaticTierVerdict::Unknown;
-}
-
-ConflictRelation StaticCommutativity::conflictRelation() {
-  ConflictRelation R;
-  uint32_t N = P.numLetters();
-  R.Rows.assign(N, std::vector<bool>(N, false));
-  for (Letter A = 0; A < N; ++A)
-    for (Letter B = A + 1; B < N; ++B) {
-      const Action &ActA = P.action(A);
-      const Action &ActB = P.action(B);
-      if (ActA.ThreadId == ActB.ThreadId)
-        continue;
-      bool Independent = !ActA.footprintConflictsWith(ActB) ||
-                         provablyCommutes(nullptr, A, B);
-      if (Independent) {
-        R.Rows[A][B] = true;
-        R.Rows[B][A] = true;
-      }
-    }
-  return R;
 }

@@ -3,9 +3,11 @@
 /// \file
 /// Decides conditional-commutativity queries a ~_phi b without the SMT
 /// solver whenever constant folding and interval reasoning suffice. The
-/// check builds the *same* proof obligations as the semantic tier — equal
-/// guards and equal final values of the two symbolic compositions AB and BA
-/// — and accepts only when each obligation formula is *statically unsat*:
+/// check discharges the *same* proof obligations as the semantic tier —
+/// equal guards and equal final values of the two symbolic compositions AB
+/// and BA, built once per pair by prog::commutationObligations and handed
+/// in by the caller — and accepts only when each obligation formula is
+/// *statically unsat*:
 ///
 ///   phi /\ ¬(G_ab <-> G_ba)                     (guard agreement)
 ///   phi /\ G_ab /\ value_ab(v) != value_ba(v)   (for each written v)
@@ -28,6 +30,7 @@
 
 #include "automata/Dfa.h"
 #include "program/Program.h"
+#include "program/Semantics.h"
 
 #include <cstdint>
 #include <optional>
@@ -41,7 +44,7 @@ class InvariantSource;
 
 /// Decides whether a ground formula is unsatisfiable by constant structure
 /// and interval propagation over its literal conjuncts. "true" is a proof;
-/// "false" means undecided. Exposed for tests and the conflict relation.
+/// "false" means undecided. Exposed for tests.
 bool staticallyUnsat(const smt::TermManager &TM, smt::Term Formula);
 
 /// Relational unsat decider: builds one octagon over the formula's
@@ -71,41 +74,17 @@ enum class StaticTierVerdict : uint8_t {
             ///< are conjoined on top of the cheaper tiers' invariants
 };
 
-/// Statically proven independence between letters, precomputed for all
-/// pairs: Algorithm 1's persistent-set construction consults this bitset
-/// matrix instead of issuing per-pair commutativity queries.
-class ConflictRelation {
-public:
-  ConflictRelation() = default;
-
-  /// True when the pair was statically proven commuting (unconditionally).
-  bool independent(automata::Letter A, automata::Letter B) const {
-    return !Rows.empty() && Rows[A][B];
-  }
-
-  uint32_t numLetters() const { return static_cast<uint32_t>(Rows.size()); }
-
-private:
-  friend class StaticCommutativity;
-  std::vector<std::vector<bool>> Rows;
-};
-
 class StaticCommutativity {
 public:
   explicit StaticCommutativity(const prog::ConcurrentProgram &P)
       : P(P), TM(P.termManager()) {}
 
-  /// True iff a ~_phi b is provable without the solver from phi alone (the
-  /// interval tier; never consults location invariants). Phi == nullptr
-  /// means phi = true. Precondition: different threads (callers dispatch
-  /// same-thread pairs before any tier runs).
-  bool provablyCommutes(smt::Term Phi, automata::Letter A,
-                        automata::Letter B);
-
-  /// Full static decision for a ~_phi b. First tries the plain interval
-  /// tier (a sound filter of the SMT answer). When that is inconclusive
-  /// and invariant sources are installed, retries the open obligations
-  /// under phi /\ Inv(src(a)) /\ Inv(src(b)), conjoining each source's
+  /// Full static decision for a ~_phi b, given the pair's obligations Obl
+  /// (prog::commutationObligations of a and b). Phi == nullptr means
+  /// phi = true. First tries the plain interval tier (a sound filter of the
+  /// SMT answer). When that is inconclusive and invariant sources are
+  /// installed, retries the open obligations under
+  /// phi /\ Inv(src(a)) /\ Inv(src(b)), conjoining each source's
   /// location invariants cumulatively in registry order; the source whose
   /// addition closes the last open obligation names the verdict.
   ///
@@ -117,9 +96,12 @@ public:
   /// interval tier these are genuine strengthenings of phi: an Octagon or
   /// Karr verdict may hold where SMT on the un-strengthened obligation
   /// would not, i.e. the tiers are a new source of reduction, not just a
-  /// filter.
+  /// filter. With no sources installed the answer depends on phi and the
+  /// obligations alone. Precondition: different threads (callers dispatch
+  /// same-thread pairs before any tier runs).
   StaticTierVerdict decide(smt::Term Phi, automata::Letter A,
-                           automata::Letter B);
+                           automata::Letter B,
+                           const prog::CommutationObligations &Obl);
 
   /// Installs (or clears, with an empty list) the invariant sources
   /// consulted by decide(), in the order their invariants are conjoined
@@ -127,13 +109,6 @@ public:
   /// location is not unique in the thread CFG get no invariant
   /// (conservative).
   void setInvariantContext(std::vector<const InvariantSource *> NewSources);
-
-  /// All-pairs unconditional independence (syntactic disjointness or a
-  /// static commutativity proof). Quadratic in the alphabet; computed once
-  /// per verification run when persistent sets are enabled. Deliberately
-  /// ignores the invariant context: the relation feeds the persistent-set
-  /// construction, which wants location-independent independence.
-  ConflictRelation conflictRelation();
 
   uint64_t numQueries() const { return Queries; }
   uint64_t numProofs() const { return Proofs; }
@@ -147,8 +122,6 @@ public:
   uint64_t numKarrProofs() const { return KarrProofs; }
 
 private:
-  StaticTierVerdict decideImpl(smt::Term Phi, automata::Letter A,
-                               automata::Letter B, bool WithInvariants);
   smt::Term invariantFor(const InvariantSource &S, automata::Letter L) const;
 
   const prog::ConcurrentProgram &P;

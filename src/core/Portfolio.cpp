@@ -12,16 +12,10 @@ seqver::core::runSingleOrder(const prog::ConcurrentProgram &P,
                              const VerifierConfig &Base,
                              const std::string &OrderName) {
   if (OrderName == "baseline") {
-    VerifierConfig Config = Base;
-    Config.UseSleepSets = false;
-    Config.UsePersistentSets = false;
-    Config.ProofSensitive = false;
-    Config.Order = nullptr;
-    Verifier V(P, Config);
+    Verifier V(P, VerifierConfig::baseline(Base));
     return V.run();
   }
-  auto Orders =
-      red::makePortfolioOrders(P, Base.RandOrders, Base.RandSeedBase);
+  auto Orders = red::makePortfolioOrders(P, Base.RandSeedBase);
   for (auto &Order : Orders) {
     if (Order->name() != OrderName)
       continue;

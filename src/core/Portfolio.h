@@ -30,7 +30,7 @@ struct PortfolioEntry {
 /// Runs a single order by name ("seq", "lockstep", "rand(1)", ...); returns
 /// the verification result. Order name "baseline" runs without reduction.
 /// Throws std::invalid_argument for a name that makePortfolioOrders does not
-/// build under Base's RandOrders and RandSeedBase.
+/// build under Base's RandSeedBase.
 VerificationResult runSingleOrder(const prog::ConcurrentProgram &P,
                                   const VerifierConfig &Base,
                                   const std::string &OrderName);

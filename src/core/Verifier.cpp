@@ -107,18 +107,12 @@ public:
     QE.watchCancellation(&OwnDeadline);
     Commut.setIncremental(Config.IncrementalSmt);
     Proof.setIncremental(Config.IncrementalSmt);
-    if (Config.UsePersistentSets) {
-      // Precompute the static independence relation once so the persistent
-      // set construction consults a bitset instead of re-deciding pairs.
-      // Runs before the octagon context is installed: the conflict relation
-      // must stay location-independent (a persistent-set membrane applies
-      // at every state, not just where the invariants hold).
-      if (analysis::StaticCommutativity *Tier = Commut.staticTier())
-        StaticIndep = Tier->conflictRelation();
-      Persistent = std::make_unique<red::PersistentSetComputer>(
-          P, Commut, Config.Order,
-          StaticIndep.numLetters() ? &StaticIndep : nullptr);
-    }
+    // Built before the invariant context is installed: Algorithm 1's
+    // conflict relation must stay location-independent (a persistent-set
+    // membrane applies at every state, not just where the invariants hold).
+    if (Config.UsePersistentSets)
+      Persistent = std::make_unique<red::PersistentSetComputer>(P, Commut,
+                                                                Config.Order);
     // Relational and affine invariants feed two optional consumers each:
     // the conditional commutativity sub-tiers and proof seeding. One
     // analysis run per domain serves both.
@@ -266,7 +260,6 @@ private:
   ProofAutomaton Proof;
   std::unique_ptr<analysis::OctagonAnalysis> Oct;
   std::unique_ptr<analysis::KarrAnalysis> Karr;
-  analysis::ConflictRelation StaticIndep;
   std::unique_ptr<red::PersistentSetComputer> Persistent;
 
   /// Proof-cache state (docs/PERSIST.md). The fingerprint is computed once

@@ -59,10 +59,9 @@ struct VerifierConfig {
   red::CommutativityChecker::Mode CommutMode =
       red::CommutativityChecker::Mode::Semantic;
   /// Solver-free static commutativity tier between the syntactic and
-  /// semantic ones; also lets the persistent-set precomputation consume the
-  /// statically proven independence relation. Sound: the tier proves the
-  /// same obligations the SMT tier would check, so disabling it can only
-  /// cost time, never change a verdict.
+  /// semantic ones. Sound: the tier proves the same obligations the SMT
+  /// tier would check, so disabling it can only cost time, never change a
+  /// verdict.
   bool StaticTier = true;
   /// Octagon sub-tier of the static tier: run the relational invariant
   /// analysis once and let static commutativity strengthen its obligations
@@ -122,16 +121,17 @@ struct VerifierConfig {
   /// Null means "never cancelled externally". The token is read-only here;
   /// only the scheduler requests cancellation.
   const runtime::CancellationToken *Cancel = nullptr;
-  /// Portfolio composition: number of rand(k) orders and the seed of the
-  /// first one (rand(RandSeedBase+1) .. rand(RandSeedBase+RandOrders)).
+  /// Seed base of the portfolio's random orders: they are
+  /// rand(RandSeedBase+1) .. rand(RandSeedBase+red::NumRandomOrders).
   /// Seeds derive from this config — never from shared RNG state — so
   /// parallel portfolio runs are reproducible and race-free.
-  int RandOrders = 3;
   uint64_t RandSeedBase = 0;
 
-  /// Baseline configuration: explore all interleavings (Automizer role).
-  static VerifierConfig baseline() {
-    VerifierConfig C;
+  /// Baseline configuration: C with every reduction switched off, so the
+  /// verifier explores all interleavings (the Automizer role of Sec. 8).
+  static VerifierConfig baseline() { return baseline(VerifierConfig()); }
+  static VerifierConfig baseline(VerifierConfig C) {
+    C.Order = nullptr;
     C.UseSleepSets = false;
     C.UsePersistentSets = false;
     C.ProofSensitive = false;

@@ -2,6 +2,7 @@
 
 #include "program/Semantics.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace seqver;
@@ -108,4 +109,42 @@ void seqver::prog::applySymbolic(
     }
     }
   }
+}
+
+CommutationObligations
+seqver::prog::commutationObligations(TermManager &TM, const Action &A,
+                                     const Action &B) {
+  const Action &First = A.Letter < B.Letter ? A : B;
+  const Action &Second = A.Letter < B.Letter ? B : A;
+  // Havoc primitives use canonical fresh variables keyed by (letter, prim
+  // index), so the two orders produce comparable symbols.
+  std::map<std::pair<automata::Letter, size_t>, Term> Havocs;
+  SymbolicState AB = symbolicIdentity(TM);
+  applySymbolic(TM, First, AB, Havocs);
+  applySymbolic(TM, Second, AB, Havocs);
+  SymbolicState BA = symbolicIdentity(TM);
+  applySymbolic(TM, Second, BA, Havocs);
+  applySymbolic(TM, First, BA, Havocs);
+
+  CommutationObligations Obl;
+  Obl.CommonGuard = AB.Guard;
+  Obl.GuardsDiffer = TM.mkNot(TM.mkIff(AB.Guard, BA.Guard));
+
+  // Final values of all written variables must agree.
+  std::vector<Term> Written;
+  Written.insert(Written.end(), First.Writes.begin(), First.Writes.end());
+  Written.insert(Written.end(), Second.Writes.begin(), Second.Writes.end());
+  std::sort(Written.begin(), Written.end(),
+            [](Term X, Term Y) { return X->id() < Y->id(); });
+  Written.erase(std::unique(Written.begin(), Written.end()), Written.end());
+  Obl.ValuesDiffer.reserve(Written.size());
+  for (Term Var : Written) {
+    if (Var->sort() == Sort::Int)
+      Obl.ValuesDiffer.push_back(
+          TM.mkNot(TM.mkEq(AB.intValue(TM, Var), BA.intValue(TM, Var))));
+    else
+      Obl.ValuesDiffer.push_back(
+          TM.mkNot(TM.mkIff(AB.boolValue(Var), BA.boolValue(Var))));
+  }
+  return Obl;
 }

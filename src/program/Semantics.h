@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <map>
+#include <vector>
 
 namespace seqver {
 namespace prog {
@@ -72,6 +73,26 @@ void applySymbolic(smt::TermManager &TM, const Action &A,
                    SymbolicState &State,
                    std::map<std::pair<automata::Letter, size_t>, smt::Term>
                        &CanonicalHavoc);
+
+/// The proof obligations of a ~_phi b (Def. 7.3): a and b commute under phi
+/// iff phi /\ GuardsDiffer is unsat and, for every written variable v,
+/// phi /\ CommonGuard /\ ValuesDiffer[v] is unsat.
+struct CommutationObligations {
+  smt::Term CommonGuard = nullptr;  ///< G_ab (== G_ba where GuardsDiffer
+                                    ///< is unsat)
+  smt::Term GuardsDiffer = nullptr; ///< !(G_ab <=> G_ba)
+  /// value_ab(v) != value_ba(v), one per variable either action writes, in
+  /// term-id order.
+  std::vector<smt::Term> ValuesDiffer;
+};
+
+/// Composes A and B symbolically in both orders (the lower letter is "a",
+/// so the argument order does not matter) with canonical havoc naming, and
+/// states the obligations of their commutation. Every commutativity tier
+/// discharges these terms; none composes actions itself.
+CommutationObligations commutationObligations(smt::TermManager &TM,
+                                              const Action &A,
+                                              const Action &B);
 
 } // namespace prog
 } // namespace seqver

@@ -8,7 +8,6 @@ using namespace seqver;
 using namespace seqver::red;
 using seqver::automata::Letter;
 using seqver::prog::Action;
-using seqver::prog::SymbolicState;
 using seqver::smt::Term;
 using seqver::smt::TermManager;
 
@@ -36,30 +35,28 @@ bool CommutativityChecker::commutesUnder(Term Phi, Letter A, Letter B) {
     return false;
 
   Letter MinL = std::min(A, B), MaxL = std::max(A, B);
-  auto Key = std::make_tuple(MinL, MaxL, Phi);
-  auto It = Cache.find(Key);
-  if (It != Cache.end()) {
+  PairRecord &R = record(MinL, MaxL);
+  auto It = R.Answers.find(Phi);
+  if (It != R.Answers.end()) {
     count("commut_cache_hits");
     return It->second;
   }
 
   // Second-level shared oracle (CommutOracle.h): a manager-independent
   // lookup over the canonical query text, fed by every checker sharing the
-  // table — portfolio workers, earlier rounds, prior runs via disk. A hit
-  // is an already-proven answer; copy it into the private cache so repeat
-  // queries stay pointer-keyed.
+  // table — portfolio workers and earlier rounds. A hit is an already-
+  // proven answer; copy it into the pair's record so repeat queries stay
+  // pointer-keyed.
   persist::Fingerprint SKey;
   if (Shared) {
     SKey = sharedKey(Phi, MinL, MaxL);
     switch (Shared->lookup(SKey)) {
     case OracleAnswer::Commutes:
       count("commut_shared_hits");
-      Cache.emplace(Key, true);
-      return true;
+      return remember(R, Phi, true);
     case OracleAnswer::Dependent:
       count("commut_shared_hits");
-      Cache.emplace(Key, false);
-      return false;
+      return remember(R, Phi, false);
     case OracleAnswer::Unknown:
       // Subsumption fallback: a pair proven to commute with *no* context
       // commutes under every Phi (unsatisfiable obligations stay
@@ -71,25 +68,19 @@ bool CommutativityChecker::commutesUnder(Term Phi, Letter A, Letter B) {
                      OracleAnswer::Commutes) {
         count("commut_shared_hits");
         count("commut_shared_subsumed");
-        Cache.emplace(Key, true);
-        return true;
+        return remember(R, Phi, true);
       }
       count("commut_shared_misses");
       break;
     }
   }
 
-  // The private context-free screen (semanticCheck's per-pair memo) may
-  // already have settled this pair for every context — cheaper than
-  // re-running even the static tier.
-  {
-    auto MemoIt = PairMemo.find({MinL, MaxL});
-    if (MemoIt != PairMemo.end() &&
-        MemoIt->second.CF == PairObligations::CtxFree::Commutes) {
-      count("commut_cache_hits");
-      Cache.emplace(Key, true);
-      return true;
-    }
+  // The private context-free screen (semanticCheck) may already have
+  // settled this pair for every context — cheaper than re-running even the
+  // static tier.
+  if (R.CF == PairRecord::CtxFree::Commutes) {
+    count("commut_cache_hits");
+    return remember(R, Phi, true);
   }
 
   // Solver-free middle tier: proves the same obligations the semantic tier
@@ -98,72 +89,81 @@ bool CommutativityChecker::commutesUnder(Term Phi, Letter A, Letter B) {
   // separately because the latter are a genuine extension, not just an SMT
   // filter.
   if (Static) {
-    switch (Static->decide(Phi, A, B)) {
+    switch (Static->decide(Phi, A, B, R.Obl)) {
     case analysis::StaticTierVerdict::Interval:
       count("commut_static");
-      Cache.emplace(Key, true);
       publishShared(SKey, true);
-      return true;
+      return remember(R, Phi, true);
     case analysis::StaticTierVerdict::Octagon:
       // Octagon and Karr proofs conjoin *location* invariants of the two
       // letters' source locations — facts about where the letters sit in
       // the CFG, which the location-blind canonical key cannot see. Two
       // pairs with identical action text at different locations may get
       // different invariant-conditional answers, so these proofs stay in
-      // the private (letter-keyed) cache and are never published.
+      // the private (letter-keyed) record and are never published.
       count("commut_octagon");
-      Cache.emplace(Key, true);
-      return true;
+      return remember(R, Phi, true);
     case analysis::StaticTierVerdict::Karr:
       count("commut_karr");
-      Cache.emplace(Key, true);
-      return true;
+      return remember(R, Phi, true);
     case analysis::StaticTierVerdict::Unknown:
       break;
     }
   }
   if (M == Mode::Static) {
     // No solver available: undecided pairs are conservatively dependent.
-    // Private-cache only — "undecided here" is not a fact about the query,
-    // so it must not reach checkers that do have a solver.
-    Cache.emplace(Key, false);
-    return false;
+    // Private record only — "undecided here" is not a fact about the
+    // query, so it must not reach checkers that do have a solver.
+    return remember(R, Phi, false);
   }
 
   // Cancellation/deadline poll before handing the query to the solver: a
   // cancelled run answers "dependent" (sound — it only weakens the
-  // reduction) and skips the private cache *and* the shared oracle, so a
-  // live run re-decides the pair instead of inheriting a panic answer.
+  // reduction) and skips the record *and* the shared oracle, so a live run
+  // re-decides the pair instead of inheriting a panic answer.
   if (stopRequested()) {
     count("commut_cancelled");
     return false;
   }
 
   count("commut_semantic");
-  bool Result = semanticCheck(Phi, MinL, MaxL);
+  bool Result = semanticCheck(Phi, R);
   // A negative computed while a cancellation raced in may reflect an
   // interrupted solver, not the query: drop it exactly like the pre-check
-  // above — no private cache, no publication — so a live run re-decides.
+  // above — no record, no publication — so a live run re-decides.
   if (!Result && stopRequested()) {
     count("commut_cancelled");
     return false;
   }
-  Cache.emplace(Key, Result);
+  remember(R, Phi, Result);
   // A negative may be a solver give-up rather than a disproof — still
   // sound to share (consumers only weaken the reduction on "dependent").
   publishShared(SKey, Result);
   // The context-free screen inside semanticCheck settles the pair for
   // every context at once; publish that stronger fact under the pair's
   // context-free key, where any worker with any Phi can find it.
-  if (Shared && Phi) {
-    PairObligations &Obl = PairMemo[{MinL, MaxL}];
-    if (Obl.CF != PairObligations::CtxFree::Unknown && !Obl.CFPublished) {
-      Obl.CFPublished = true;
-      publishShared(sharedKey(nullptr, MinL, MaxL),
-                    Obl.CF == PairObligations::CtxFree::Commutes);
-    }
+  if (Shared && Phi && R.CF != PairRecord::CtxFree::Unknown &&
+      !R.CFPublished) {
+    R.CFPublished = true;
+    publishShared(sharedKey(nullptr, MinL, MaxL),
+                  R.CF == PairRecord::CtxFree::Commutes);
   }
   return Result;
+}
+
+CommutativityChecker::PairRecord &
+CommutativityChecker::record(Letter MinL, Letter MaxL) {
+  auto [It, Inserted] = Pairs.try_emplace({MinL, MaxL});
+  if (Inserted)
+    It->second.Obl = prog::commutationObligations(
+        QE.termManager(), P.action(MinL), P.action(MaxL));
+  return It->second;
+}
+
+bool CommutativityChecker::remember(PairRecord &R, Term Phi, bool Answer) {
+  if (R.Answers.emplace(Phi, Answer).second)
+    ++NumAnswers;
+  return Answer;
 }
 
 persist::Fingerprint CommutativityChecker::sharedKey(Term Phi, Letter MinL,
@@ -194,72 +194,28 @@ void CommutativityChecker::publishShared(const persist::Fingerprint &Key,
   count("commut_shared_stores");
 }
 
-bool CommutativityChecker::semanticCheck(Term Phi, Letter MinL, Letter MaxL) {
+bool CommutativityChecker::semanticCheck(Term Phi, PairRecord &R) {
   ++SemanticChecks;
-  TermManager &TM = QE.termManager();
-
-  // The proof obligations depend only on the pair, not on Phi: build the
-  // two symbolic compositions once per (min, max) and reuse them for every
-  // context — only the unsat checks below re-run.
-  auto [MemoIt, MemoInserted] = PairMemo.try_emplace({MinL, MaxL});
-  PairObligations &Obl = MemoIt->second;
-  if (MemoInserted) {
-    const Action &A = P.action(MinL);
-    const Action &B = P.action(MaxL);
-    // Compose symbolically in both orders. Havoc primitives use canonical
-    // fresh variables keyed by (letter, prim index) so the two orders
-    // produce comparable symbols.
-    std::map<std::pair<Letter, size_t>, Term> Havocs;
-    SymbolicState AB = prog::symbolicIdentity(TM);
-    applySymbolic(TM, A, AB, Havocs);
-    applySymbolic(TM, B, AB, Havocs);
-    SymbolicState BA = prog::symbolicIdentity(TM);
-    applySymbolic(TM, B, BA, Havocs);
-    applySymbolic(TM, A, BA, Havocs);
-
-    Obl.CommonGuard = AB.Guard;
-    Obl.GuardsDiffer = TM.mkNot(TM.mkIff(AB.Guard, BA.Guard));
-
-    // Final values of all written variables must agree.
-    std::vector<Term> Written;
-    Written.insert(Written.end(), A.Writes.begin(), A.Writes.end());
-    Written.insert(Written.end(), B.Writes.begin(), B.Writes.end());
-    std::sort(Written.begin(), Written.end(),
-              [](Term X, Term Y) { return X->id() < Y->id(); });
-    Written.erase(std::unique(Written.begin(), Written.end()), Written.end());
-    Obl.ValuesDiffer.reserve(Written.size());
-    for (Term Var : Written) {
-      if (Var->sort() == smt::Sort::Int)
-        Obl.ValuesDiffer.push_back(TM.mkNot(
-            TM.mkEq(AB.intValue(TM, Var), BA.intValue(TM, Var))));
-      else
-        Obl.ValuesDiffer.push_back(
-            TM.mkNot(TM.mkIff(AB.boolValue(Var), BA.boolValue(Var))));
-    }
-  } else {
-    count("commut_sym_memo_hits");
-  }
-
   // Context-free screen, once per pair: discharge the obligations with no
   // context at all. A positive is the strongest possible answer — the
   // pair commutes under *every* Phi (monotonicity of unsat under added
   // conjuncts) — and it is what commutesUnder publishes to the shared
   // oracle under the pair's context-free key. Only a Dependent verdict
   // falls through to the per-Phi check below.
-  if (Obl.CF == PairObligations::CtxFree::Unknown)
-    Obl.CF = dischargeObligations(TM.mkTrue(), Obl)
-                 ? PairObligations::CtxFree::Commutes
-                 : PairObligations::CtxFree::Dependent;
-  if (Obl.CF == PairObligations::CtxFree::Commutes)
+  if (R.CF == PairRecord::CtxFree::Unknown)
+    R.CF = dischargeObligations(QE.termManager().mkTrue(), R)
+               ? PairRecord::CtxFree::Commutes
+               : PairRecord::CtxFree::Dependent;
+  if (R.CF == PairRecord::CtxFree::Commutes)
     return true;
   if (!Phi)
     return false;
-  return dischargeObligations(Phi, Obl);
+  return dischargeObligations(Phi, R);
 }
 
-bool CommutativityChecker::dischargeObligations(Term Context,
-                                                PairObligations &Obl) {
+bool CommutativityChecker::dischargeObligations(Term Context, PairRecord &R) {
   TermManager &TM = QE.termManager();
+  const prog::CommutationObligations &Obl = R.Obl;
   if (!Incremental) {
     // Fresh-instance path: one throwaway solver per query, results cached
     // at the formula level inside the engine.
@@ -278,19 +234,19 @@ bool CommutativityChecker::dischargeObligations(Term Context,
   // everything the previous contexts taught the solver. An Unknown answer
   // (budget or cancellation) reads as "not discharged", exactly like the
   // fresh path's isUnsat.
-  if (!Obl.Sess) {
-    Obl.Sess = QE.openSession();
-    Obl.HGuardsDiffer = Obl.Sess->prepare(Obl.GuardsDiffer);
-    Obl.HCommonGuard = Obl.Sess->prepare(Obl.CommonGuard);
-    Obl.HValuesDiffer.reserve(Obl.ValuesDiffer.size());
+  if (!R.Sess) {
+    R.Sess = QE.openSession();
+    R.HGuardsDiffer = R.Sess->prepare(Obl.GuardsDiffer);
+    R.HCommonGuard = R.Sess->prepare(Obl.CommonGuard);
+    R.HValuesDiffer.reserve(Obl.ValuesDiffer.size());
     for (Term ValuesDiffer : Obl.ValuesDiffer)
-      Obl.HValuesDiffer.push_back(Obl.Sess->prepare(ValuesDiffer));
+      R.HValuesDiffer.push_back(R.Sess->prepare(ValuesDiffer));
   }
-  smt::Session::Handle HCtx = Obl.Sess->prepare(Context);
-  if (!Obl.Sess->isUnsatUnder({HCtx, Obl.HGuardsDiffer}))
+  smt::Session::Handle HCtx = R.Sess->prepare(Context);
+  if (!R.Sess->isUnsatUnder({HCtx, R.HGuardsDiffer}))
     return false;
-  for (smt::Session::Handle HValuesDiffer : Obl.HValuesDiffer)
-    if (!Obl.Sess->isUnsatUnder({HCtx, Obl.HCommonGuard, HValuesDiffer}))
+  for (smt::Session::Handle HValuesDiffer : R.HValuesDiffer)
+    if (!R.Sess->isUnsatUnder({HCtx, R.HCommonGuard, HValuesDiffer}))
       return false;
   return true;
 }

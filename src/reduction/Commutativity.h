@@ -17,7 +17,10 @@
 ///
 /// Whenever a tier cannot decide a query, the next tier runs; if the solver
 /// itself cannot decide, the actions are conservatively declared
-/// non-commutative (always sound).
+/// non-commutative (always sound). The static and semantic tiers discharge
+/// one set of obligations per letter pair, composed once by
+/// prog::commutationObligations and kept in the pair's record with its
+/// answers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -128,19 +131,22 @@ public:
   uint64_t numStaticProofs() const {
     return Static ? Static->numProofs() : 0;
   }
-  /// Distinct (pair, context) keys in the private cache (regression seam
-  /// for the nullptr-vs-mkTrue key canonicalization).
-  size_t numCachedQueries() const { return Cache.size(); }
+  /// Distinct (pair, context) answers held by the pair records (regression
+  /// seam for the nullptr-vs-mkTrue key canonicalization).
+  size_t numCachedQueries() const { return NumAnswers; }
 
 private:
-  bool semanticCheck(smt::Term Phi, automata::Letter MinL,
-                     automata::Letter MaxL);
-  /// Runs the unsat checks of Obl strengthened by Context; true iff every
-  /// obligation is discharged (false may be a solver give-up). In
+  struct PairRecord;
+  /// The record of (MinL, MaxL), created with its obligations on first use.
+  PairRecord &record(automata::Letter MinL, automata::Letter MaxL);
+  /// Stores Answer as R's answer under Phi and returns it.
+  bool remember(PairRecord &R, smt::Term Phi, bool Answer);
+  bool semanticCheck(smt::Term Phi, PairRecord &R);
+  /// Runs the unsat checks of R's obligations strengthened by Context; true
+  /// iff every obligation is discharged (false may be a solver give-up). In
   /// incremental mode this lazily opens the pair's session and routes the
-  /// checks through it (hence the non-const obligations).
-  struct PairObligations;
-  bool dischargeObligations(smt::Term Context, PairObligations &Obl);
+  /// checks through it.
+  bool dischargeObligations(smt::Term Context, PairRecord &R);
   /// Canonical key of the (already Phi-canonicalized, letter-ordered)
   /// query; the per-letter action texts and per-term Phi texts are
   /// memoized, so repeat queries hash without re-rendering.
@@ -166,19 +172,15 @@ private:
   Statistics *Stats = nullptr;
   CommutOracle *Shared = nullptr;
   std::vector<const runtime::CancellationToken *> Watched;
-  /// Cache key: (min letter, max letter, condition or nullptr). A literal
-  /// `true` condition is canonicalized to nullptr before keying, so the
-  /// unconditional entry is shared with trivial-context callers.
-  std::map<std::tuple<automata::Letter, automata::Letter, smt::Term>, bool>
-      Cache;
   /// Memoized canonical action texts (by letter) and context texts (by
   /// interned term) for the shared-oracle key.
   std::map<automata::Letter, std::string> ActionTexts;
   std::map<smt::Term, std::string> PhiTexts;
-  /// Per-pair symbolic compositions: the guard-equivalence and per-written-
-  /// variable value-equivalence obligations of (min, max), built once and
-  /// reused across every Phi context — only the unsat checks re-run.
-  struct PairObligations {
+  /// Everything the checker knows about one letter pair (min, max).
+  struct PairRecord {
+    /// The pair's obligations, composed once and discharged by both the
+    /// static and the semantic tier under every context.
+    prog::CommutationObligations Obl;
     /// The context-free screen's memoized verdict: whether the obligations
     /// are unsatisfiable with *no* context at all. Commutes is the
     /// strongest possible answer — unsatisfiability is monotone under
@@ -188,20 +190,21 @@ private:
     /// context could not discharge the obligations; stronger contexts are
     /// still checked individually.
     enum class CtxFree : uint8_t { Unknown, Commutes, Dependent };
-    smt::Term CommonGuard = nullptr;  ///< AB.Guard (== BA.Guard when used)
-    smt::Term GuardsDiffer = nullptr; ///< !(G_ab <=> G_ba)
-    std::vector<smt::Term> ValuesDiffer; ///< one per written variable
     CtxFree CF = CtxFree::Unknown;
     bool CFPublished = false; ///< context-free key already sent to oracle
     /// Incremental mode only: the pair's solver session and the premise
-    /// handles of the obligations above (created on first semantic query).
+    /// handles of the obligations (created on first semantic query).
     std::unique_ptr<smt::Session> Sess;
     smt::Session::Handle HGuardsDiffer = 0;
     smt::Session::Handle HCommonGuard = 0;
     std::vector<smt::Session::Handle> HValuesDiffer;
+    /// Answers by context. A literal `true` context is canonicalized to
+    /// nullptr before keying, so the unconditional answer is shared with
+    /// trivial-context callers.
+    std::map<smt::Term, bool> Answers;
   };
-  std::map<std::pair<automata::Letter, automata::Letter>, PairObligations>
-      PairMemo;
+  std::map<std::pair<automata::Letter, automata::Letter>, PairRecord> Pairs;
+  size_t NumAnswers = 0;
   uint64_t SemanticChecks = 0;
   bool Incremental = false;
 };

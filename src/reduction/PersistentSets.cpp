@@ -15,9 +15,8 @@ using seqver::prog::ThreadCfg;
 
 PersistentSetComputer::PersistentSetComputer(
     const prog::ConcurrentProgram &P, CommutativityChecker &Commut,
-    const PreferenceOrder *Order,
-    const analysis::ConflictRelation *StaticIndep)
-    : P(P), Commut(Commut), Order(Order), StaticIndep(StaticIndep) {
+    const PreferenceOrder *Order)
+    : P(P), Commut(Commut), Order(Order) {
   HasAssert.resize(static_cast<size_t>(P.numThreads()));
   for (int T = 0; T < P.numThreads(); ++T)
     HasAssert[static_cast<size_t>(T)] = P.thread(T).containsAssert();
@@ -74,10 +73,6 @@ void PersistentSetComputer::precomputeConflicts() {
             ReachableLetters[static_cast<size_t>(J)][LJ].forEach(
                 [&](size_t B) {
                   if (Conflict)
-                    return;
-                  // Statically proven independent pairs need no query.
-                  if (StaticIndep &&
-                      StaticIndep->independent(A, static_cast<Letter>(B)))
                     return;
                   if (!Commut.commutes(A, static_cast<Letter>(B)))
                     Conflict = true;

@@ -34,15 +34,13 @@ class PersistentSetComputer {
 public:
   /// Order may be null: then no compatibility edges are added (pure
   /// conflict-closure), which is what the persistent-set-only verifier
-  /// variant of Table 2 uses. StaticIndep, when given, short-circuits the
-  /// per-pair commutativity queries of the conflict precomputation with the
-  /// statically proven independence relation (Algorithm 1's thread conflict
-  /// relation consuming the static conflict graph directly).
+  /// variant of Table 2 uses. The conflict precomputation asks Commut for
+  /// unconditional commutativity, so Commut must not have invariant sources
+  /// installed yet: a membrane applies at every state, and its conflict
+  /// relation must not depend on where the letters sit.
   PersistentSetComputer(const prog::ConcurrentProgram &P,
                         CommutativityChecker &Commut,
-                        const PreferenceOrder *Order,
-                        const analysis::ConflictRelation *StaticIndep =
-                            nullptr);
+                        const PreferenceOrder *Order);
 
   /// The weakly persistent membrane for state S under order context Ctx, as
   /// a bitset over letters. StateId is the caller's interned id of S: the
@@ -66,7 +64,6 @@ private:
   const prog::ConcurrentProgram &P;
   CommutativityChecker &Commut;
   const PreferenceOrder *Order;
-  const analysis::ConflictRelation *StaticIndep;
 
   /// Conflict[i][li][j] = bitset over locations of thread j in conflict
   /// with (i, li). Indexed sparsely via vectors.

@@ -79,11 +79,11 @@ bool RandomOrder::less(Context, Letter A, Letter B) const {
 
 std::vector<std::unique_ptr<PreferenceOrder>>
 seqver::red::makePortfolioOrders(const prog::ConcurrentProgram &P,
-                                 int NumRandom, uint64_t RandSeedBase) {
+                                 uint64_t RandSeedBase) {
   std::vector<std::unique_ptr<PreferenceOrder>> Orders;
   Orders.push_back(std::make_unique<SequentialOrder>(P));
   Orders.push_back(std::make_unique<LockstepOrder>(P));
-  for (int K = 1; K <= NumRandom; ++K)
+  for (int K = 1; K <= NumRandomOrders; ++K)
     Orders.push_back(std::make_unique<RandomOrder>(
         P, RandSeedBase + static_cast<uint64_t>(K)));
   return Orders;

@@ -113,15 +113,18 @@ private:
   std::vector<uint32_t> Rank; // by letter
 };
 
-/// Factory for the portfolio of Sec. 8: seq, lockstep, then NumRandom
-/// random orders seeded RandSeedBase+1 .. RandSeedBase+NumRandom. Seeds
-/// are derived from the caller's configuration (see
-/// core::VerifierConfig::RandSeedBase) — never from shared RNG state — so
-/// every portfolio participant can rebuild the identical order list
-/// independently, including concurrently. The default arguments reproduce
-/// the paper's seq, lockstep, rand(1..3).
+/// Random orders in the portfolio of Sec. 8 (rand(1..3) in the paper).
+constexpr int NumRandomOrders = 3;
+
+/// Factory for the portfolio of Sec. 8: seq, lockstep, then
+/// NumRandomOrders random orders seeded RandSeedBase+1 ..
+/// RandSeedBase+NumRandomOrders. Seeds are derived from the caller's
+/// configuration (see core::VerifierConfig::RandSeedBase) — never from
+/// shared RNG state — so every portfolio participant can rebuild the
+/// identical order list independently, including concurrently. The default
+/// argument reproduces the paper's seq, lockstep, rand(1..3).
 std::vector<std::unique_ptr<PreferenceOrder>>
-makePortfolioOrders(const prog::ConcurrentProgram &P, int NumRandom = 3,
+makePortfolioOrders(const prog::ConcurrentProgram &P,
                     uint64_t RandSeedBase = 0);
 
 } // namespace red

@@ -82,8 +82,7 @@ VerificationResult verifyOneOrder(const std::string &Source,
     }
   }
 
-  auto Orders = red::makePortfolioOrders(*Build.Program, Base.RandOrders,
-                                         Base.RandSeedBase);
+  auto Orders = red::makePortfolioOrders(*Build.Program, Base.RandSeedBase);
   VerifierConfig Config = Base;
   Config.Order = Orders[OrderIdx].get();
   Config.Cancel = Race;
@@ -107,7 +106,7 @@ ParallelPortfolioResult seqver::runtime::runPortfolioParallel(
 
   // Order names are a pure function of the config — no program needed.
   std::vector<std::string> Names = {"seq", "lockstep"};
-  for (int K = 1; K <= Base.RandOrders; ++K)
+  for (int K = 1; K <= red::NumRandomOrders; ++K)
     Names.push_back("rand(" + std::to_string(Base.RandSeedBase +
                                              static_cast<uint64_t>(K)) +
                     ")");

@@ -6,7 +6,7 @@
 /// discovery with MustLock facts, the lockset race detector on the paper's
 /// bluetooth example, interval/constant propagation with dead-edge pruning,
 /// and the solver-free commutativity tier (staticallyUnsat and
-/// provablyCommutes).
+/// StaticCommutativity::decide).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,6 +65,16 @@ Letter letterWriting(const prog::ConcurrentProgram &P, int Thread,
       return L;
   ADD_FAILURE() << "no action of thread " << Thread << " writes " << Name;
   return 0;
+}
+
+/// The static tier's verdict on A ~_Phi B, discharging the pair's
+/// obligations as the commutativity checker builds them.
+StaticTierVerdict decidePair(StaticCommutativity &Tier,
+                             const prog::ConcurrentProgram &P, smt::Term Phi,
+                             Letter A, Letter B) {
+  return Tier.decide(Phi, A, B,
+                     prog::commutationObligations(P.termManager(),
+                                                  P.action(A), P.action(B)));
 }
 
 /// Source location of a letter within its thread CFG.
@@ -466,7 +476,7 @@ TEST(StaticCommut, IdenticalIncrementsCommuteUnconditionally) {
   StaticCommutativity Tier(*P);
   Letter A = lettersOf(*P, 0).front();
   Letter B = lettersOf(*P, 1).front();
-  EXPECT_TRUE(Tier.provablyCommutes(nullptr, A, B));
+  EXPECT_EQ(decidePair(Tier, *P, nullptr, A, B), StaticTierVerdict::Interval);
   EXPECT_EQ(Tier.numProofs(), 1u);
 }
 
@@ -477,8 +487,9 @@ TEST(StaticCommut, ConflictingStoresDoNotCommute) {
                  "thread b { x := 2; }\n",
                  TM);
   StaticCommutativity Tier(*P);
-  EXPECT_FALSE(Tier.provablyCommutes(nullptr, lettersOf(*P, 0).front(),
-                                     lettersOf(*P, 1).front()));
+  EXPECT_EQ(decidePair(Tier, *P, nullptr, lettersOf(*P, 0).front(),
+                       lettersOf(*P, 1).front()),
+            StaticTierVerdict::Unknown);
 }
 
 TEST(StaticCommut, IntervalFactsDischargeConditionalQueries) {
@@ -493,28 +504,10 @@ TEST(StaticCommut, IntervalFactsDischargeConditionalQueries) {
   StaticCommutativity Tier(*P);
   Letter A = lettersOf(*P, 0).front();
   Letter B = lettersOf(*P, 1).front();
-  EXPECT_FALSE(Tier.provablyCommutes(nullptr, A, B));
+  EXPECT_EQ(decidePair(Tier, *P, nullptr, A, B), StaticTierVerdict::Unknown);
 
   smt::Term Phi = TM.mkEqZero(TM.sumOfVar(TM.lookupVar("y")));
-  EXPECT_TRUE(Tier.provablyCommutes(Phi, A, B));
-}
-
-TEST(StaticCommut, ConflictRelationSeparatesDisjointFromConflicting) {
-  smt::TermManager TM;
-  auto P = build("var int x := 0;\nvar int y := 0;\n"
-                 "thread a { x := 1; }\n"
-                 "thread b { y := 1; }\n"
-                 "thread c { x := 2; }\n",
-                 TM);
-  StaticCommutativity Tier(*P);
-  ConflictRelation Rel = Tier.conflictRelation();
-  ASSERT_EQ(Rel.numLetters(), P->numLetters());
-  Letter A = lettersOf(*P, 0).front();
-  Letter B = lettersOf(*P, 1).front();
-  Letter C = lettersOf(*P, 2).front();
-  EXPECT_TRUE(Rel.independent(A, B));  // disjoint footprints
-  EXPECT_FALSE(Rel.independent(A, C)); // conflicting stores
-  EXPECT_FALSE(Rel.independent(A, A)); // same thread never recorded
+  EXPECT_EQ(decidePair(Tier, *P, Phi, A, B), StaticTierVerdict::Interval);
 }
 
 //===----------------------------------------------------------------------===//
@@ -903,11 +896,11 @@ TEST(StaticCommut, OctagonContextDischargesConditionalPairs) {
   StaticCommutativity Tier(*P);
   Letter A = letterWriting(*P, 0, "x");
   Letter B = letterWriting(*P, 1, "x");
-  EXPECT_EQ(Tier.decide(nullptr, A, B), StaticTierVerdict::Unknown);
+  EXPECT_EQ(decidePair(Tier, *P, nullptr, A, B), StaticTierVerdict::Unknown);
 
   OctagonAnalysis Oct(*P);
   Tier.setInvariantContext({&Oct});
-  EXPECT_EQ(Tier.decide(nullptr, A, B), StaticTierVerdict::Octagon);
+  EXPECT_EQ(decidePair(Tier, *P, nullptr, A, B), StaticTierVerdict::Octagon);
   EXPECT_GE(Tier.numOctProofs(), 1u);
 }
 
@@ -923,11 +916,11 @@ TEST(StaticCommut, KarrContextDischargesConditionalPairs) {
   StaticCommutativity Tier(*P);
   Letter A = letterWriting(*P, 0, "x");
   Letter B = letterWriting(*P, 1, "x");
-  EXPECT_EQ(Tier.decide(nullptr, A, B), StaticTierVerdict::Unknown);
+  EXPECT_EQ(decidePair(Tier, *P, nullptr, A, B), StaticTierVerdict::Unknown);
 
   KarrAnalysis Karr(*P);
   Tier.setInvariantContext({&Karr});
-  EXPECT_EQ(Tier.decide(nullptr, A, B), StaticTierVerdict::Karr);
+  EXPECT_EQ(decidePair(Tier, *P, nullptr, A, B), StaticTierVerdict::Karr);
   EXPECT_GE(Tier.numKarrProofs(), 1u);
 }
 
@@ -946,7 +939,7 @@ TEST(StaticCommut, RegistryOrderCreditsTheEarlierSource) {
   OctagonAnalysis Oct(*P);
   KarrAnalysis Karr(*P);
   Tier.setInvariantContext({&Oct, &Karr});
-  EXPECT_EQ(Tier.decide(nullptr, A, B), StaticTierVerdict::Octagon);
+  EXPECT_EQ(decidePair(Tier, *P, nullptr, A, B), StaticTierVerdict::Octagon);
   EXPECT_EQ(Tier.numKarrProofs(), 0u);
 }
 

@@ -247,6 +247,34 @@ TEST_F(ProgramTest, SymbolicCompositionDetectsCommutation) {
   }
 }
 
+TEST_F(ProgramTest, CommutationObligationsFoldForCommutingPairs) {
+  auto P = build(R"(
+    var int x; var int y;
+    thread a { x := x + 1; }
+    thread b { atomic { x := x + 2; y := y + 1; } }
+    thread c { x := 2 * x; }
+  )");
+  // a;b vs b;a: both orders add 3 to x and 1 to y, so every obligation
+  // folds to false, one value obligation per written variable.
+  CommutationObligations AB =
+      commutationObligations(TM, P->action(0), P->action(1));
+  EXPECT_EQ(AB.GuardsDiffer, TM.mkFalse());
+  ASSERT_EQ(AB.ValuesDiffer.size(), 2u);
+  for (Term VD : AB.ValuesDiffer)
+    EXPECT_EQ(VD, TM.mkFalse());
+  // a;c: x -> 2(x+1); c;a: x -> 2x+1 -- the value obligation stays open.
+  CommutationObligations AC =
+      commutationObligations(TM, P->action(0), P->action(2));
+  ASSERT_EQ(AC.ValuesDiffer.size(), 1u);
+  EXPECT_NE(AC.ValuesDiffer[0], TM.mkFalse());
+  // The argument order does not matter: the lower letter is composed first.
+  CommutationObligations CA =
+      commutationObligations(TM, P->action(2), P->action(0));
+  EXPECT_EQ(CA.CommonGuard, AC.CommonGuard);
+  EXPECT_EQ(CA.GuardsDiffer, AC.GuardsDiffer);
+  EXPECT_EQ(CA.ValuesDiffer, AC.ValuesDiffer);
+}
+
 TEST_F(ProgramTest, SymbolicGuardEvaluatedInContext) {
   auto P = build(R"(
     var int x;

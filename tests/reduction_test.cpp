@@ -614,6 +614,31 @@ TEST(SizeBoundTest, ConflictRelationOnHandmadeProgram) {
   EXPECT_FALSE(Persistent.locationsConflict(1, 1, 0, 0));
 }
 
+/// Algorithm 1's conflict relation over a solver-free checker: increments
+/// of x have conflicting footprints, but their obligations fold statically,
+/// so the threads do not conflict; two stores to y do.
+TEST(SizeBoundTest, ConflictRelationUsesTheStaticTier) {
+  smt::TermManager TM;
+  smt::QueryEngine QE(TM);
+  prog::BuildResult R = prog::buildFromSource(
+      "var int x; var int y;"
+      "thread a { x := x + 1; }"
+      "thread b { x := x + 2; }"
+      "thread c { y := 1; }"
+      "thread d { y := 2; }",
+      TM);
+  ASSERT_TRUE(R.ok()) << R.Error;
+  auto &P = *R.Program;
+  ASSERT_TRUE(P.action(0).footprintConflictsWith(P.action(1)));
+  CommutativityChecker Commut(P, QE, CommutativityChecker::Mode::Static);
+  PersistentSetComputer Persistent(P, Commut, nullptr);
+  EXPECT_FALSE(Persistent.locationsConflict(0, 0, 1, 0));
+  EXPECT_FALSE(Persistent.locationsConflict(1, 0, 0, 0));
+  EXPECT_TRUE(Persistent.locationsConflict(2, 0, 3, 0));
+  EXPECT_TRUE(Persistent.locationsConflict(3, 0, 2, 0));
+  EXPECT_FALSE(Persistent.locationsConflict(0, 0, 2, 0));
+}
+
 //===----------------------------------------------------------------------===//
 // Algorithm 1 membranes against a reference implementation
 //===----------------------------------------------------------------------===//

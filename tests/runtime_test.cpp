@@ -343,17 +343,17 @@ TEST(ParallelPortfolioTest, StoppedLosersAreNeverUnknown) {
 TEST(ParallelPortfolioTest, RandSeedBaseShiftsOrderNames) {
   core::VerifierConfig Base;
   Base.RandSeedBase = 10;
-  Base.RandOrders = 2;
   ParallelConfig PC;
   PC.Jobs = 2;
   ParallelPortfolioResult R = runPortfolioParallel(
       "var int x := 0; thread a { x := x + 1; } thread b { x := x + 1; }",
       Base, PC);
-  ASSERT_EQ(R.Entries.size(), 4u);
+  ASSERT_EQ(R.Entries.size(), 5u);
   EXPECT_EQ(R.Entries[0].OrderName, "seq");
   EXPECT_EQ(R.Entries[1].OrderName, "lockstep");
   EXPECT_EQ(R.Entries[2].OrderName, "rand(11)");
   EXPECT_EQ(R.Entries[3].OrderName, "rand(12)");
+  EXPECT_EQ(R.Entries[4].OrderName, "rand(13)");
   EXPECT_TRUE(R.decisive());
 }
 
@@ -375,8 +375,8 @@ TEST(ParallelPortfolioTest, PortfolioOrdersAreReproducible) {
   prog::BuildResult B =
       prog::buildFromSource(workloads::bluetoothSource(3), TM);
   ASSERT_TRUE(B.ok());
-  auto First = red::makePortfolioOrders(*B.Program, 3, 5);
-  auto Second = red::makePortfolioOrders(*B.Program, 3, 5);
+  auto First = red::makePortfolioOrders(*B.Program, 5);
+  auto Second = red::makePortfolioOrders(*B.Program, 5);
   ASSERT_EQ(First.size(), Second.size());
   uint32_t N = B.Program->numLetters();
   for (size_t I = 0; I < First.size(); ++I) {

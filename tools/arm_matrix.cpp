@@ -333,7 +333,7 @@ ArmFn everyOrderArm(core::VerifierConfig C, bool SharedOracle) {
     Outcome O;
     double Seconds = 0;
     for (const auto &Order :
-         red::makePortfolioOrders(*B.Program, C.RandOrders, C.RandSeedBase)) {
+         red::makePortfolioOrders(*B.Program, C.RandSeedBase)) {
       Config.Order = Order.get();
       core::VerificationResult R = core::Verifier(*B.Program, Config).run();
       if (!core::isDecisive(O.V))

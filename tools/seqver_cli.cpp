@@ -224,8 +224,7 @@ bool parseArgs(int argc, char **argv, CliOptions &Opts) {
 bool knownOrder(const prog::ConcurrentProgram &P, const CliOptions &Opts) {
   if (Opts.Order == "baseline")
     return true;
-  for (const auto &Order : red::makePortfolioOrders(
-           P, core::VerifierConfig().RandOrders, Opts.RandSeedBase))
+  for (const auto &Order : red::makePortfolioOrders(P, Opts.RandSeedBase))
     if (Order->name() == Opts.Order)
       return true;
   return false;
